@@ -34,11 +34,14 @@
 #               ladder run against the env-driven configuration path
 #   fuzz-smoke  codec + checkpoint-manifest + DFS-bit-rot + spill-run-rot
 #               fuzzing, small fixed budget
+#   hostbench   the host-time benchmark's self-test (python3 hostbench/run.py
+#               --selftest; about 60 s plus its own build on 4 cores), which
+#               compiles hostbench/ against src/ in .bench_build/
 #   goldens     checked-in traces match the current trace schema
 #
 # Usage: scripts/ci.sh
-# Requires cmake >= 3.20 (presets). Builds into build/, build-tsan/ and
-# build-asan/.
+# Requires cmake >= 3.20 (presets). Builds into build/, build-tsan/,
+# build-asan/ and .bench_build/.
 set -u
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -109,6 +112,12 @@ run "bench: mqo cache" \
 # the selective scan at least 2x faster.
 run "bench: columnar scan" \
   env DYNO_BENCH_SCAN_OUT=build/BENCH_scan.json build/bench/bench_scan
+
+# The host-time benchmark compiles against the engine and driver structs
+# on its own. Its self-test checks that it still builds, that it rejects
+# tampered results, and that its workloads replay identically at 1 and N
+# execution threads.
+run "hostbench selftest" python3 hostbench/run.py --selftest
 
 run "golden traces" scripts/check_goldens.sh
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <cmath>
 
 #include "common/string_util.h"
@@ -212,27 +213,41 @@ Result<JobResult> RunGroupBy(MapReduceEngine* engine,
 
   if (use_combiner) {
     // Map side: accumulate one PartialState per (task, group); the flush
-    // hook ships one partial per group instead of every raw row.
-    auto per_task = std::make_shared<
-        std::map<int, std::map<std::string, std::pair<Value, PartialState>>>>();
+    // hook ships one partial per group instead of every raw row. Worker
+    // threads run several map tasks at once, so the task -> groups map is
+    // locked; each task's own groups are touched only by that task, and
+    // std::map keeps them in place while other tasks insert and erase.
+    using Groups = std::map<std::string, std::pair<Value, PartialState>>;
+    struct PerTask {
+      std::mutex mu;
+      std::map<int, Groups> groups;
+    };
+    auto per_task = std::make_shared<PerTask>();
     map_input.map_fn = [keys, spec_copy, per_task](
                            const Value& record, MapContext* ctx) -> Status {
       Value key = JoinKeyValue(record, keys);
       std::string encoded = EncodeJoinKey(record, keys);
-      auto& groups = (*per_task)[ctx->task_index()];
+      Groups* groups = nullptr;
+      {
+        std::lock_guard<std::mutex> lock(per_task->mu);
+        groups = &per_task->groups[ctx->task_index()];
+      }
       auto [it, inserted] =
-          groups.try_emplace(std::move(encoded), key, PartialState{});
+          groups->try_emplace(std::move(encoded), key, PartialState{});
       AccumulateRow(spec_copy, record, &it->second.second);
       ctx->ChargeCpu(1.0 + static_cast<double>(spec_copy.aggregates.size()));
       return Status::OK();
     };
     map_input.flush_fn = [per_task](MapContext* ctx) -> Status {
-      auto it = per_task->find(ctx->task_index());
-      if (it == per_task->end()) return Status::OK();
-      for (auto& [encoded, entry] : it->second) {
+      std::map<int, Groups>::node_type done;
+      {
+        std::lock_guard<std::mutex> lock(per_task->mu);
+        done = per_task->groups.extract(ctx->task_index());
+      }
+      if (done.empty()) return Status::OK();
+      for (auto& [encoded, entry] : done.mapped()) {
         ctx->Emit(entry.first, EncodePartial(entry.second));
       }
-      per_task->erase(it);
       return Status::OK();
     };
     job.reduce_fn = [spec_copy](const Value& key,

@@ -1,8 +1,6 @@
 #include "mr/engine.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <cmath>
 #include <deque>
 #include <map>
@@ -29,6 +27,25 @@ void Counters::MergeFrom(const Counters& other) {
   reduce_input_records += other.reduce_input_records;
   output_records += other.output_records;
   output_bytes += other.output_bytes;
+}
+
+void JobTally::Add(const JobTally& other) {
+  task_failures_injected += other.task_failures_injected;
+  task_retries += other.task_retries;
+  speculative_launches += other.speculative_launches;
+  speculative_wins += other.speculative_wins;
+  node_crashes_observed += other.node_crashes_observed;
+  attempts_killed_by_node += other.attempts_killed_by_node;
+  maps_invalidated += other.maps_invalidated;
+  shuffle_fetch_retries += other.shuffle_fetch_retries;
+  block_corruptions += other.block_corruptions;
+  checksum_refetches += other.checksum_refetches;
+  records_quarantined += other.records_quarantined;
+  reduce_spills += other.reduce_spills;
+  spill_bytes_written += other.spill_bytes_written;
+  spill_bytes_read += other.spill_bytes_read;
+  peak_task_memory_bytes =
+      std::max(peak_task_memory_bytes, other.peak_task_memory_bytes);
 }
 
 namespace {
@@ -138,11 +155,6 @@ struct RunningJob {
   JobResult result;
   double observer_cpu_units = 0.0;
   bool failed = false;
-
-  /// Running total of quarantined poison records across completed map
-  /// tasks (checked against the max_skipped_records budget; decremented
-  /// when a node crash invalidates a completed task).
-  uint64_t records_quarantined = 0;
 
   /// DFS paths of spill-run files written by completed reduce tasks;
   /// deleted when the job ends (they are scratch, not output).
@@ -802,24 +814,9 @@ Result<std::vector<JobResult>> MapReduceEngine::SubmitAllDirect(
       // The query tag is appended last and only for query-scoped jobs, so
       // legacy (empty query_id) traces keep their exact historical bytes.
       if (!job.spec->query_id.empty()) {
-        ev = std::move(ev).Arg("query", job.spec->query_id);
+        std::move(ev).Arg("query", job.spec->query_id);
       }
       trace_->Record(std::move(ev));
-    }
-  }
-
-  if (getenv("DYNO_DEBUG_JOBS") != nullptr) {
-    for (const RunningJob& job : jobs) {
-      uint64_t in_bytes = 0;
-      for (const MapInput& input : job.spec->inputs) {
-        in_bytes += input.file->num_bytes();
-      }
-      std::fprintf(stderr,
-                   "[job] %s inputs=%zu in_bytes=%llu side_mem=%llu %s\n",
-                   job.spec->name.c_str(), job.spec->inputs.size(),
-                   (unsigned long long)in_bytes,
-                   (unsigned long long)job.spec->side_memory_bytes,
-                   job.spec->reduce_fn ? "map-reduce" : "map-only");
     }
   }
 
@@ -958,18 +955,20 @@ Result<std::vector<JobResult>> MapReduceEngine::SubmitAllDirect(
                        .ArgInt("output_records",
                                (int64_t)job->result.counters.output_records);
     // Memory args only under an active memory mode, so knob-off traces
-    // keep their exact historical bytes (golden traces predate them).
+    // keep their exact historical bytes (golden traces predate them). The
+    // optional args append in place: `ev = std::move(ev).Arg(...)` would
+    // self-move-assign and drop every arg.
     if (job_memory_mode(*job) != ClusterConfig::ReduceMemoryMode::kUnbounded) {
-      ev = std::move(ev)
-               .ArgInt("reduce_spills", job->result.reduce_spills)
-               .ArgInt("spill_runs", job->result.spill_runs)
-               .ArgInt("spill_bytes_written",
-                       (int64_t)job->result.spill_bytes_written)
-               .ArgInt("peak_task_memory",
-                       (int64_t)job->result.peak_task_memory_bytes);
+      std::move(ev)
+          .ArgInt("reduce_spills", job->result.reduce_spills)
+          .ArgInt("spill_runs", job->result.spill_runs)
+          .ArgInt("spill_bytes_written",
+                  (int64_t)job->result.spill_bytes_written)
+          .ArgInt("peak_task_memory",
+                  (int64_t)job->result.peak_task_memory_bytes);
     }
     if (!job->spec->query_id.empty()) {
-      ev = std::move(ev).Arg("query", job->spec->query_id);
+      std::move(ev).Arg("query", job->spec->query_id);
     }
     trace_->Record(std::move(ev));
   };
@@ -1046,7 +1045,6 @@ Result<std::vector<JobResult>> MapReduceEngine::SubmitAllDirect(
         job->result.quarantine_path = qpath;
       }
     }
-    job->result.records_quarantined = job->records_quarantined;
     job->phase = JobPhase::kDone;
     job->result.finish_time_ms = now_;
     job->result.observer_overhead_ms = static_cast<SimMillis>(
@@ -1348,8 +1346,7 @@ Result<std::vector<JobResult>> MapReduceEngine::SubmitAllDirect(
     // end); a node crash that invalidates the task un-accounts them. They
     // never reach the output or the observer — excluded, not emitted.
     if (is_map && d.valid && d.quarantine.num_records > 0) {
-      job->records_quarantined += d.quarantine.num_records;
-      job->result.records_quarantined = job->records_quarantined;
+      job->result.records_quarantined += d.quarantine.num_records;
       if (m_quarantined != nullptr) {
         m_quarantined->Add(static_cast<int64_t>(d.quarantine.num_records));
       }
@@ -1364,14 +1361,15 @@ Result<std::vector<JobResult>> MapReduceEngine::SubmitAllDirect(
       }
       const int budget = config_.faults.max_skipped_records;
       if (budget >= 0 &&
-          job->records_quarantined > static_cast<uint64_t>(budget)) {
+          job->result.records_quarantined > static_cast<uint64_t>(budget)) {
         if (m_integrity_failures != nullptr) m_integrity_failures->Add();
         fail_job(job,
                  Status::DataLoss(StrFormat(
                      "job %s quarantined %llu records, over the "
                      "max_skipped_records budget of %d",
                      job->spec->name.c_str(),
-                     (unsigned long long)job->records_quarantined, budget)));
+                     (unsigned long long)job->result.records_quarantined,
+                     budget)));
         return;
       }
     }
@@ -2195,9 +2193,8 @@ Result<std::vector<JobResult>> MapReduceEngine::SubmitAllDirect(
         // Quarantined records accounted by the lost attempt are un-counted;
         // the re-run re-quarantines (and re-accounts) the same positions.
         uint64_t unquarantined = d.quarantine_indexes.size();
-        job.records_quarantined -=
-            std::min(job.records_quarantined, unquarantined);
-        job.result.records_quarantined = job.records_quarantined;
+        job.result.records_quarantined -=
+            std::min(job.result.records_quarantined, unquarantined);
         d = TaskData{};
         // Real failures outlive the kill, and so does the poison plan: the
         // positions are a property of the split's data, and skip mode is a

@@ -161,8 +161,48 @@ struct JobSpec {
   double observer_cpu_per_record = 0.0;
 };
 
+/// The fault, integrity and memory counters of one job. Query and plan
+/// reports inherit it too, so each counter is declared once and folded
+/// only by Add().
+struct JobTally {
+  /// Fault-model accounting (all zero when fault injection is off).
+  int task_failures_injected = 0;  ///< Attempts killed by injection.
+  int task_retries = 0;            ///< Re-launches after a failed attempt.
+  int speculative_launches = 0;    ///< Backup attempts started.
+  int speculative_wins = 0;        ///< Backups that beat their primary.
+
+  /// Node fault-domain accounting (all zero without node crashes,
+  /// DESIGN.md §6.4).
+  int node_crashes_observed = 0;   ///< Crashes while this job was running.
+  int attempts_killed_by_node = 0; ///< In-flight attempts lost to a crash.
+  int maps_invalidated = 0;        ///< Completed map outputs lost + re-run.
+  int shuffle_fetch_retries = 0;   ///< Reducers re-queued behind a re-shuffle.
+
+  /// Data-integrity accounting (all zero without corruption/poison faults,
+  /// DESIGN.md §6.5).
+  int block_corruptions = 0;       ///< Corrupt replica reads detected.
+  int checksum_refetches = 0;      ///< Shuffle fetches redone after mismatch.
+  /// Poison records skipped and quarantined: excluded from every output
+  /// and statistic, so observed checkpoint stats count them as excluded.
+  uint64_t records_quarantined = 0;
+
+  /// Reduce-memory accounting (all zero in kUnbounded mode, DESIGN.md
+  /// §6.10). Sizes are simulated: partition bytes * reduce_memory_factor.
+  int reduce_spills = 0;           ///< Reduce tasks that spilled to DFS.
+  uint64_t spill_bytes_written = 0;///< Run-formation + merge-pass writes.
+  uint64_t spill_bytes_read = 0;   ///< Merge-pass reads.
+  /// Largest simulated memory footprint any task held: spilling tasks hold
+  /// the budget, in-memory reduce state and broadcast builds their
+  /// expanded size.
+  uint64_t peak_task_memory_bytes = 0;
+
+  /// Sums every counter into this one, except peak_task_memory_bytes,
+  /// which takes the max.
+  void Add(const JobTally& other);
+};
+
 /// Everything known about a finished (or failed) job.
-struct JobResult {
+struct JobResult : JobTally {
   Status status;
   std::shared_ptr<DfsFile> output;  ///< Null if the job failed.
   SimMillis submit_time_ms = 0;
@@ -181,37 +221,14 @@ struct JobResult {
   SimMillis map_slot_ms = 0;
   SimMillis reduce_slot_ms = 0;
 
-  /// Fault-model accounting (all zero when fault injection is off).
-  int task_failures_injected = 0;  ///< Attempts killed by injection.
-  int task_retries = 0;            ///< Re-launches after a failed attempt.
-  int speculative_launches = 0;    ///< Backup attempts started.
-  int speculative_wins = 0;        ///< Backups that beat their primary.
-
-  /// Node fault-domain accounting (all zero without node crashes).
-  int node_crashes_observed = 0;   ///< Crashes while this job was running.
-  int attempts_killed_by_node = 0; ///< In-flight attempts lost to a crash.
-  int maps_invalidated = 0;        ///< Completed map outputs lost + re-run.
-  int shuffle_fetch_retries = 0;   ///< Reducers re-queued behind a re-shuffle.
-
-  /// Data-integrity accounting (all zero without corruption/poison faults).
-  int block_corruptions = 0;       ///< Corrupt replica reads detected.
-  int checksum_refetches = 0;      ///< Shuffle fetches redone after mismatch.
-  uint64_t records_quarantined = 0;///< Poison records skipped + quarantined.
   /// DFS path of the per-job quarantine file (empty when no record was
   /// quarantined). Holds the poison records, in map-task order.
   std::string quarantine_path;
 
-  /// Reduce-memory accounting (all zero in kUnbounded mode, DESIGN.md
-  /// §6.10). Sizes are simulated: partition bytes * reduce_memory_factor.
-  int reduce_spills = 0;           ///< Reduce tasks that spilled to DFS.
+  /// Spill-run detail beyond the JobTally totals (all zero in kUnbounded
+  /// mode, DESIGN.md §6.10).
   int spill_runs = 0;              ///< Total sorted runs written.
   int spill_merge_passes = 0;      ///< Total bounded-memory merge passes.
-  uint64_t spill_bytes_written = 0;///< Run-formation + merge-pass writes.
-  uint64_t spill_bytes_read = 0;   ///< Merge-pass reads.
-  /// Largest simulated memory footprint any task of this job held: spilling
-  /// tasks hold the budget, in-memory reduce state and broadcast builds
-  /// their expanded size.
-  uint64_t peak_task_memory_bytes = 0;
   /// Reducer count the engine froze at map-phase end (the derived count for
   /// num_reduce_tasks <= 0). The driver's OOM ladder doubles from this.
   int reduce_tasks_planned = 0;

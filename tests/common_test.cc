@@ -1,5 +1,6 @@
 #include <cmath>
 #include <set>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -8,6 +9,8 @@
 #include "common/sim_time.h"
 #include "common/status.h"
 #include "common/string_util.h"
+#include "dyno/driver.h"
+#include "test_util.h"
 
 namespace dyno {
 namespace {
@@ -230,6 +233,24 @@ TEST(StringUtilDeathTest, MalformedEnvKnobsAbortLoudly) {
                "DYNO_TEST_KNOB");
   EXPECT_DEATH(EnvDoubleOrDie("DYNO_TEST_KNOB", "2.5", 0.0, 1.0),
                "not a number in");
+}
+
+TEST(StringUtilDeathTest, MalformedMaxJobAttemptsAbortsDriver) {
+  // The driver's whole-job retry knob parses like every other knob: a
+  // malformed value aborts instead of quietly meaning "1 attempt".
+  DynoOptions options;
+  options.sync_cost_memory = false;  // Touches no engine.
+  for (const char* bad : {"3x", "0", "1001", ""}) {
+    ScopedEnv env({std::make_pair("DYNO_MAX_JOB_ATTEMPTS", bad)});
+    EXPECT_DEATH({ DynoDriver driver(nullptr, nullptr, nullptr, options); },
+                 "DYNO_MAX_JOB_ATTEMPTS")
+        << "\"" << bad << "\"";
+  }
+  ScopedEnv env({std::make_pair("DYNO_MAX_JOB_ATTEMPTS", "3")});
+  EXPECT_EQ(DynoDriver(nullptr, nullptr, nullptr, options)
+                .options()
+                .max_job_attempts,
+            3);
 }
 
 TEST(SimTimeTest, Formatting) {

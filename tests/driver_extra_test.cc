@@ -1,11 +1,19 @@
 // Additional driver-level coverage: Hive-backend correctness, static-plan
 // serial/parallel equivalence, the no-pilot ablation, left-deep-only mode,
-// and single-table blocks.
+// single-table blocks, and report tallies against the engine's job spans.
+
+#include <algorithm>
+#include <cstdint>
+#include <map>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "baselines/best_static.h"
 #include "dyno/driver.h"
+#include "obs/trace.h"
 #include "test_util.h"
 #include "tpch/dbgen.h"
 #include "tpch/queries.h"
@@ -199,6 +207,179 @@ TEST_F(DriverExtraTest, CyclicJoinGraphQ5MatchesOracle) {
   auto report = driver.Execute(q5);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   ExpectOracleMatch(q5, *report);
+}
+
+// --- Report tallies vs the engine's job spans ---
+
+/// Args objects of every `cat`/`name` event in `trace`, in order.
+std::vector<std::string> EventArgs(const obs::TraceSink& trace,
+                                   const std::string& cat,
+                                   const std::string& name) {
+  const std::string tag =
+      "\"cat\":\"" + cat + "\",\"name\":\"" + name + "\",\"args\":";
+  std::vector<std::string> found;
+  std::istringstream lines(trace.SerializeJsonl());
+  for (std::string line; std::getline(lines, line);) {
+    size_t pos = line.find(tag);
+    if (pos == std::string::npos) continue;
+    found.push_back(line.substr(pos + tag.size()));
+  }
+  return found;
+}
+
+/// Args of the ok:true "mr/job" spans in `trace`, minus the pilot
+/// ("pilr:*") and pre-materialization ("filter:*") jobs, which the query
+/// report has never counted.
+std::vector<std::string> CountedJobSpanArgs(const obs::TraceSink& trace) {
+  std::vector<std::string> spans;
+  for (std::string& args : EventArgs(trace, "mr", "job")) {
+    if (args.find("\"ok\":true") == std::string::npos ||
+        args.find("\"job\":\"pilr:") != std::string::npos ||
+        args.find("\"job\":\"filter:") != std::string::npos) {
+      continue;
+    }
+    spans.push_back(std::move(args));
+  }
+  return spans;
+}
+
+int64_t IntArg(const std::string& args, const std::string& key) {
+  size_t pos = args.find("\"" + key + "\":");
+  if (pos == std::string::npos) {
+    ADD_FAILURE() << "no " << key << " in " << args;
+    return 0;
+  }
+  return std::stoll(args.substr(pos + key.size() + 3));
+}
+
+/// The report tallies that the mr/job spans also carry, keyed by span arg.
+std::map<std::string, int64_t> ReportTallies(const QueryRunReport& r) {
+  return {
+      {"retries", r.task_retries},
+      {"failures_injected", r.task_failures_injected},
+      {"speculative_launches", r.speculative_launches},
+      {"speculative_wins", r.speculative_wins},
+      {"node_attempt_kills", r.attempts_killed_by_node},
+      {"maps_invalidated", r.maps_invalidated},
+      {"shuffle_fetch_retries", r.shuffle_fetch_retries},
+      {"block_corruptions", r.block_corruptions},
+      {"checksum_refetches", r.checksum_refetches},
+      {"records_quarantined", static_cast<int64_t>(r.records_quarantined)},
+      {"reduce_spills", r.reduce_spills},
+      {"spill_bytes_written", static_cast<int64_t>(r.spill_bytes_written)},
+      {"peak_task_memory", static_cast<int64_t>(r.peak_task_memory_bytes)},
+  };
+}
+
+/// Expects each of ReportTallies() to equal its span arg summed over the
+/// query's counted job spans (peak memory: the max), and returns the span
+/// totals by arg.
+std::map<std::string, int64_t> ExpectTalliesMatchSpans(
+    const QueryRunReport& report, const obs::TraceSink& trace) {
+  std::vector<std::string> spans = CountedJobSpanArgs(trace);
+  EXPECT_EQ(static_cast<int>(spans.size()), report.jobs_run);
+  std::map<std::string, int64_t> totals;
+  for (const auto& [arg, tally] : ReportTallies(report)) {
+    int64_t& total = totals[arg];
+    for (const std::string& args : spans) {
+      int64_t value = IntArg(args, arg);
+      total = arg == "peak_task_memory" ? std::max(total, value)
+                                        : total + value;
+    }
+    EXPECT_EQ(tally, total) << arg;
+  }
+  return totals;
+}
+
+class ReportTallyTest : public ::testing::Test {
+ protected:
+  ReportTallyTest() : catalog_(&dfs_) {
+    TpchConfig config;
+    config.scale = 0.0005;
+    config.split_bytes = 8 * 1024;
+    EXPECT_TRUE(GenerateTpch(&catalog_, config).ok());
+  }
+
+  /// Node crashes, block/shuffle corruption and spill-mode reducers under
+  /// a tight task budget, pinned against every ctest preset's environment.
+  static ClusterConfig FaultyConfig(uint64_t memory_bytes) {
+    ClusterConfig config;
+    config.job_startup_ms = 2000;
+    config.memory_per_task_bytes = memory_bytes;
+    config.reduce_memory_mode = ClusterConfig::ReduceMemoryMode::kSpill;
+    config.faults.use_env_defaults = false;
+    config.faults.seed = 11;
+    config.faults.node_failure_rate = 0.05;
+    config.faults.node_recovery_ms = 10000;
+    config.faults.block_corruption_rate = 0.05;
+    config.faults.shuffle_corruption_rate = 0.05;
+    return config;
+  }
+
+  static DynoOptions PinnedOptions(ExecutionStrategy strategy) {
+    DynoOptions options;
+    options.pilot.k = 256;
+    options.strategy = strategy;
+    options.max_job_attempts = 1;
+    options.retry_budget_ms = 0;
+    options.oom_retry_ladder = 0;
+    return options;
+  }
+
+  // Declared first: the columnar knobs also steer table generation.
+  ScopedEnv env_{{{"DYNO_COLUMNAR", "0"}, {"DYNO_ZONE_MAPS", "0"}}};
+  Dfs dfs_;
+  Catalog catalog_;
+};
+
+TEST_F(ReportTallyTest, EveryStrategySumsItsJobSpans) {
+  for (ExecutionStrategy strategy :
+       {ExecutionStrategy::kUncertain1, ExecutionStrategy::kSimpleSerial,
+        ExecutionStrategy::kSimpleParallel}) {
+    SCOPED_TRACE(ExecutionStrategyName(strategy));
+    MapReduceEngine engine(&dfs_, FaultyConfig(8 * 1024));
+    obs::TraceSink trace;
+    engine.set_trace(&trace);
+    StatsStore store;
+    DynoDriver driver(&engine, &catalog_, &store, PinnedOptions(strategy));
+    auto report = driver.Execute(MakeTpchQ8Prime());
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    std::map<std::string, int64_t> totals =
+        ExpectTalliesMatchSpans(*report, trace);
+    if (IsSimpleStrategy(strategy)) {
+      // The counters DYNOPT-SIMPLE once dropped; this seed exercises each.
+      EXPECT_GT(totals["node_attempt_kills"], 0);
+      EXPECT_GT(totals["maps_invalidated"], 0);
+      EXPECT_GT(totals["shuffle_fetch_retries"], 0);
+      EXPECT_GT(report->node_crashes_observed, 0);
+    }
+  }
+}
+
+TEST_F(ReportTallyTest, MultiJoinBroadcastFallbackSumsEveryJob) {
+  // The optimizer believes 64K of task memory while tasks get 2K, so a
+  // chained broadcast unit fails at runtime and re-runs join by join.
+  MapReduceEngine engine(&dfs_, FaultyConfig(2 * 1024));
+  obs::TraceSink trace;
+  engine.set_trace(&trace);
+  DynoOptions options = PinnedOptions(ExecutionStrategy::kUncertain1);
+  options.cost.max_memory_bytes = 64 * 1024;
+  options.cost.estimated_build_margin = 1.0;
+  options.sync_cost_memory = false;  // keep the deliberate lie above
+  options.adaptive_join_fallback = true;
+  StatsStore store;
+  DynoDriver driver(&engine, &catalog_, &store, options);
+  auto report = driver.Execute(MakeTpchQ8Prime());
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  int64_t widest_fallback = 0;
+  for (const std::string& args :
+       EventArgs(trace, "driver", "broadcast_fallback")) {
+    widest_fallback = std::max(widest_fallback, IntArg(args, "extra_jobs"));
+  }
+  EXPECT_GE(widest_fallback, 2) << "no fallback re-ran two or more joins";
+  std::map<std::string, int64_t> totals =
+      ExpectTalliesMatchSpans(*report, trace);
+  EXPECT_GT(totals["reduce_spills"], 0);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 
 #include "common/string_util.h"
 #include "dyno/driver.h"
+#include "exec/aggregates.h"
 #include "expr/expr.h"
 #include "mr/engine.h"
 #include "obs/metrics.h"
@@ -280,6 +281,44 @@ TEST(EngineDeterminismTest, RepeatedRunsAreStable) {
   // Same thread count twice: guards against hidden global state (RNG,
   // clock, allocation-order dependence) rather than threading.
   EXPECT_EQ(RunWorkload(4), RunWorkload(4));
+}
+
+/// A combining GROUP BY over many splits: worker threads run its map tasks
+/// at once, and each keeps its partial groups in the job's shared combiner
+/// table.
+std::string RunCombinerGroupBy(int threads) {
+  Dfs dfs;
+  ClusterConfig config;
+  config.map_slots = 8;
+  config.job_startup_ms = 500;
+  config.execution_threads = threads;
+  config.faults.use_env_defaults = false;
+  MapReduceEngine engine(&dfs, config);
+  std::vector<Value> rows;
+  for (int i = 0; i < 6000; ++i) {
+    rows.push_back(MakeRow({{"g", Value::Int(i % 37)},
+                            {"v", Value::Int(i % 101)}}));
+  }
+  auto file = WriteRows(&dfs, "/in", rows, /*split_bytes=*/1024);
+  EXPECT_TRUE(file.ok());
+  GroupBySpec spec;
+  spec.keys = {"g"};
+  spec.aggregates = {{Aggregate::Kind::kCount, "", "n"},
+                     {Aggregate::Kind::kSum, "v", "s"},
+                     {Aggregate::Kind::kMax, "v", "hi"}};
+  auto job = RunGroupBy(&engine, *file, spec, "/out", /*use_combiner=*/true);
+  EXPECT_TRUE(job.ok()) << job.status().ToString();
+  if (!job.ok()) return "";
+  return FingerprintJob(*job);
+}
+
+TEST(EngineDeterminismTest, CombinerGroupByIdenticalAcrossThreadCounts) {
+  std::string one = RunCombinerGroupBy(1);
+  EXPECT_NE(one.find("maps="), std::string::npos);
+  for (int round = 0; round < 3; ++round) {
+    EXPECT_EQ(one, RunCombinerGroupBy(4)) << "round " << round;
+    EXPECT_EQ(one, RunCombinerGroupBy(8)) << "round " << round;
+  }
 }
 
 TEST(EngineDeterminismTest, IdenticalResultsUnderFaultInjection) {

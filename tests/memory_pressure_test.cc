@@ -179,6 +179,33 @@ TEST_F(MemoryPressureEngineTest, SpillAccountingIsPinned) {
   EXPECT_EQ(task_spill_events, 2);
 }
 
+TEST_F(MemoryPressureEngineTest, ScopedSpillJobSpansKeepEveryArg) {
+  // The memory args and the query tag are appended after an mr event's
+  // fixed args; appending them must not drop the earlier ones.
+  auto input = MakeInput(400, "/in");
+  obs::TraceSink trace;
+  MapReduceEngine engine(&dfs_, SpillConfig(/*budget=*/1024));
+  engine.set_trace(&trace);
+  JobSpec spec = MakeGroupJob(input, "/out");
+  spec.query_id = "q7";
+  auto result = engine.Submit(spec);
+  ASSERT_TRUE(result.ok());
+  ASSERT_TRUE(result->status.ok()) << result->status.ToString();
+
+  const std::string serialized = trace.SerializeJsonl();
+  EXPECT_NE(serialized.find("\"name\":\"job_submit\",\"args\":{\"job\":"
+                            "\"group\",\"map_tasks\":"),
+            std::string::npos)
+      << serialized;
+  size_t span = serialized.find(
+      "\"name\":\"job\",\"args\":{\"job\":\"group\",\"ok\":true,");
+  ASSERT_NE(span, std::string::npos) << serialized;
+  std::string line =
+      serialized.substr(span, serialized.find('\n', span) - span);
+  EXPECT_NE(line.find("\"reduce_spills\":2,"), std::string::npos) << line;
+  EXPECT_NE(line.find(",\"query\":\"q7\"}}"), std::string::npos) << line;
+}
+
 TEST_F(MemoryPressureEngineTest, StrictModeFailsJobWithOutOfMemory) {
   auto input = MakeInput(400, "/in");
   obs::MetricsRegistry metrics;
