@@ -27,17 +27,22 @@ size_t VarintSize(uint64_t v) {
   return n;
 }
 
-Result<uint64_t> DecodeVarint(std::string_view data, size_t* offset) {
+/// Reads one varint at `*offset`, advancing it. Returns nullptr on success,
+/// else the error text.
+const char* ReadVarint(std::string_view data, size_t* offset, uint64_t* out) {
   uint64_t v = 0;
   int shift = 0;
   while (*offset < data.size()) {
     uint8_t b = static_cast<uint8_t>(data[(*offset)++]);
     v |= static_cast<uint64_t>(b & 0x7f) << shift;
-    if (!(b & 0x80)) return v;
+    if (!(b & 0x80)) {
+      *out = v;
+      return nullptr;
+    }
     shift += 7;
     if (shift > 63) break;
   }
-  return Status::Internal("malformed varint");
+  return "malformed varint";
 }
 
 uint64_t DoubleHashKey(double d) {
@@ -217,25 +222,35 @@ void Value::EncodeTo(std::string* out) const {
 }
 
 Result<Value> Value::Decode(std::string_view data, size_t* offset) {
-  if (*offset >= data.size()) return Status::Internal("truncated value");
+  Value v;
+  if (const char* error = DecodeInto(data, offset, &v)) {
+    return Status::Internal(error);
+  }
+  return v;
+}
+
+const char* Value::DecodeInto(std::string_view data, size_t* offset,
+                              Value* out) {
+  if (*offset >= data.size()) return "truncated value";
   Type t = static_cast<Type>(data[(*offset)++]);
+  uint64_t n = 0;
   switch (t) {
     case Type::kNull:
-      return Value::Null();
-    case Type::kBool: {
-      if (*offset >= data.size()) return Status::Internal("truncated bool");
-      return Value::Bool(data[(*offset)++] != 0);
-    }
+      out->rep_.emplace<std::monostate>();
+      return nullptr;
+    case Type::kBool:
+      if (*offset >= data.size()) return "truncated bool";
+      out->rep_.emplace<bool>(data[(*offset)++] != 0);
+      return nullptr;
     case Type::kInt: {
-      DYNO_ASSIGN_OR_RETURN(uint64_t u, DecodeVarint(data, offset));
-      int64_t v = static_cast<int64_t>(u >> 1);
-      if (u & 1) v = ~v;
-      return Value::Int(v);
+      if (const char* error = ReadVarint(data, offset, &n)) return error;
+      int64_t v = static_cast<int64_t>(n >> 1);
+      if (n & 1) v = ~v;
+      out->rep_.emplace<int64_t>(v);
+      return nullptr;
     }
     case Type::kDouble: {
-      if (*offset + 8 > data.size()) {
-        return Status::Internal("truncated double");
-      }
+      if (*offset + 8 > data.size()) return "truncated double";
       uint64_t bits = 0;
       for (int i = 0; i < 8; ++i) {
         bits |= static_cast<uint64_t>(
@@ -245,51 +260,46 @@ Result<Value> Value::Decode(std::string_view data, size_t* offset) {
       *offset += 8;
       double d;
       std::memcpy(&d, &bits, sizeof(d));
-      return Value::Double(d);
+      out->rep_.emplace<double>(d);
+      return nullptr;
     }
-    case Type::kString: {
-      DYNO_ASSIGN_OR_RETURN(uint64_t n, DecodeVarint(data, offset));
-      if (*offset + n > data.size()) return Status::Internal("bad string");
-      Value v = Value::String(std::string(data.substr(*offset, n)));
+    case Type::kString:
+      if (const char* error = ReadVarint(data, offset, &n)) return error;
+      if (n > data.size() - *offset) return "bad string";
+      out->rep_.emplace<std::string>(data.data() + *offset, n);
       *offset += n;
-      return v;
-    }
+      return nullptr;
     case Type::kArray: {
-      DYNO_ASSIGN_OR_RETURN(uint64_t n, DecodeVarint(data, offset));
+      if (const char* error = ReadVarint(data, offset, &n)) return error;
       // Each element encodes to at least one byte; a count beyond the
       // remaining input is corruption, not a reason to allocate.
-      if (n > data.size() - *offset) {
-        return Status::Internal("array count exceeds input");
+      if (n > data.size() - *offset) return "array count exceeds input";
+      auto elems = std::make_shared<ArrayElements>(n);
+      for (Value& e : *elems) {
+        if (const char* error = DecodeInto(data, offset, &e)) return error;
       }
-      ArrayElements elems;
-      elems.reserve(n);
-      for (uint64_t i = 0; i < n; ++i) {
-        DYNO_ASSIGN_OR_RETURN(Value e, Value::Decode(data, offset));
-        elems.push_back(std::move(e));
-      }
-      return Value::Array(std::move(elems));
+      out->rep_ = ArrayPtr(std::move(elems));
+      return nullptr;
     }
     case Type::kStruct: {
-      DYNO_ASSIGN_OR_RETURN(uint64_t n, DecodeVarint(data, offset));
-      if (n > data.size() - *offset) {
-        return Status::Internal("field count exceeds input");
-      }
-      StructFields flds;
-      flds.reserve(n);
-      for (uint64_t i = 0; i < n; ++i) {
-        DYNO_ASSIGN_OR_RETURN(uint64_t len, DecodeVarint(data, offset));
-        if (*offset + len > data.size()) {
-          return Status::Internal("bad field name");
-        }
-        std::string name(data.substr(*offset, len));
+      if (const char* error = ReadVarint(data, offset, &n)) return error;
+      if (n > data.size() - *offset) return "field count exceeds input";
+      auto flds = std::make_shared<StructFields>(n);
+      for (auto& [name, value] : *flds) {
+        uint64_t len = 0;
+        if (const char* error = ReadVarint(data, offset, &len)) return error;
+        if (len > data.size() - *offset) return "bad field name";
+        name.assign(data.data() + *offset, len);
         *offset += len;
-        DYNO_ASSIGN_OR_RETURN(Value v, Value::Decode(data, offset));
-        flds.emplace_back(std::move(name), std::move(v));
+        if (const char* error = DecodeInto(data, offset, &value)) {
+          return error;
+        }
       }
-      return Value::Struct(std::move(flds));
+      out->rep_ = StructPtr(std::move(flds));
+      return nullptr;
     }
   }
-  return Status::Internal("unknown value tag");
+  return "unknown value tag";
 }
 
 size_t Value::EncodedSize() const {

@@ -104,6 +104,11 @@ class Value {
 
   explicit Value(Rep rep) : rep_(std::move(rep)) {}
 
+  /// Decode's recursive worker: builds the value in place in `*out` and
+  /// returns nullptr, or returns the error text without a value.
+  static const char* DecodeInto(std::string_view data, size_t* offset,
+                                Value* out);
+
   Rep rep_;
 };
 

@@ -99,6 +99,7 @@ struct TaskData {
   Counters counters;  ///< This task's contribution alone.
   Split output;       ///< Map-only or reduce output records.
   std::vector<std::pair<Value, Value>> emissions;  ///< Map of a reduce job.
+  std::vector<uint64_t> emission_bytes;  ///< Encoded size of each emission.
   uint64_t emitted_bytes = 0;
   double observer_charge = 0.0;  ///< CPU units the observer replay costs.
   Split quarantine;   ///< Poison records skipped by this (map) task.
@@ -126,6 +127,7 @@ struct RunningJob {
   /// Reduce-side state.
   int num_reduce_tasks = 0;
   std::vector<std::vector<std::pair<Value, Value>>> partitions;
+  std::vector<uint64_t> partition_bytes;  ///< Encoded bytes of each bucket.
   std::vector<TaskRunState> reduce_states;
   std::vector<TaskData> reduce_data;
   std::deque<PendingTask> pending_reduce;
@@ -204,6 +206,7 @@ struct TaskOutcome {
   Status status;
   Split output;  ///< Records written via ctx->Output().
   std::vector<std::pair<Value, Value>> emissions;
+  std::vector<uint64_t> emission_bytes;  ///< Encoded size of each emission.
   uint64_t emitted_bytes = 0;
   uint64_t input_records = 0;
   uint64_t input_bytes = 0;  ///< Map only; partial when the attempt errored.
@@ -301,6 +304,7 @@ class TaskMapContext : public MapContext {
   void Emit(Value key, Value value) override {
     size_t bytes = key.EncodedSize() + value.EncodedSize();
     out_->emitted_bytes += bytes;
+    out_->emission_bytes.push_back(bytes);
     out_->emissions.emplace_back(std::move(key), std::move(value));
   }
 
@@ -365,7 +369,8 @@ void ExecuteMapTask(const MapInput& input, const Split& split,
 
   // Columnar splits are decoded whole-block into rows first; any frame
   // defect that slipped past the checksum is still DataLoss, never a wrong
-  // answer. Row splits stream record-at-a-time as they always have.
+  // answer. Row splits stream record-at-a-time as they always have, and a
+  // row that does not decode is DataLoss too (SplitReader::Next).
   const bool is_columnar = split.format == SplitFormat::kColumnar;
   std::vector<Value> batch_rows;
   if (is_columnar) {
@@ -373,7 +378,7 @@ void ExecuteMapTask(const MapInput& input, const Split& split,
     out->input_bytes =
         input.bill_logical_read ? split.logical_bytes : split.num_bytes();
     out->input_logical_bytes = split.logical_bytes;
-    Result<std::vector<Value>> rows = DecodeSplitRows(split);
+    Result<std::vector<Value>> rows = DecodeVerifiedSplitRows(split);
     if (!rows.ok()) {
       out->status = rows.status();
       return;
@@ -485,7 +490,8 @@ void ExecuteMapTask(const MapInput& input, const Split& split,
   out->cpu_units += ctx.extra_cpu();
 }
 
-/// Runs one reduce task's data flow over its (moved-in) partition bucket.
+/// Runs one reduce task's data flow over its (moved-in) partition bucket,
+/// whose encoded size the scheduler already summed into `bucket_bytes`.
 /// `spill_runs` > 1 switches the sort to the bounded-memory external path:
 /// the bucket is cut input-order into that many chunks, each chunk is
 /// stable-sorted and round-tripped through the CRC-framed spill-run codec
@@ -497,11 +503,9 @@ void ExecuteMapTask(const MapInput& input, const Split& split,
 /// it and the attempt dies with DataLoss (never a wrong answer).
 void ExecuteReduceTask(const JobSpec& spec,
                        std::vector<std::pair<Value, Value>> bucket,
-                       int spill_runs, bool corrupt_spill,
-                       TaskOutcome* out) {
-  for (const auto& [key, value] : bucket) {
-    out->reduce_input_bytes += key.EncodedSize() + value.EncodedSize();
-  }
+                       uint64_t bucket_bytes, int spill_runs,
+                       bool corrupt_spill, TaskOutcome* out) {
+  out->reduce_input_bytes = bucket_bytes;
   out->reduce_input_records = bucket.size();
   auto key_less = [](const std::pair<Value, Value>& a,
                      const std::pair<Value, Value>& b) {
@@ -1247,11 +1251,14 @@ Result<std::vector<JobResult>> MapReduceEngine::SubmitAllDirect(
     // node forces exactly this rebuild.
     const bool retain_emissions = config_.faults.node_faults();
     job->partitions.assign(reducers, {});
+    job->partition_bytes.assign(reducers, 0);
     for (TaskData& d : job->map_data) {
       if (!d.valid) continue;
-      for (auto& kv : d.emissions) {
+      for (size_t i = 0; i < d.emissions.size(); ++i) {
+        auto& kv = d.emissions[i];
         size_t p = kv.first.Hash() % static_cast<size_t>(reducers);
         if (job->reduce_states[p].completed) continue;
+        job->partition_bytes[p] += d.emission_bytes[i];
         if (retain_emissions) {
           job->partitions[p].push_back(kv);
         } else {
@@ -1262,6 +1269,8 @@ Result<std::vector<JobResult>> MapReduceEngine::SubmitAllDirect(
       if (!retain_emissions) {
         d.emissions.clear();
         d.emissions.shrink_to_fit();
+        d.emission_bytes.clear();
+        d.emission_bytes.shrink_to_fit();
       }
     }
     // Memory check at shuffle start (DESIGN.md §6.10): each reducer's
@@ -1277,10 +1286,7 @@ Result<std::vector<JobResult>> MapReduceEngine::SubmitAllDirect(
           std::max(1.0, static_cast<double>(config_.memory_per_task_bytes));
       for (int p = 0; p < reducers; ++p) {
         if (job->reduce_states[p].completed) continue;
-        uint64_t bytes = 0;
-        for (const auto& kv : job->partitions[p]) {
-          bytes += kv.first.EncodedSize() + kv.second.EncodedSize();
-        }
+        const uint64_t bytes = job->partition_bytes[p];
         const double state = std::ceil(static_cast<double>(bytes) *
                                        config_.reduce_memory_factor);
         if (state <= budget) continue;
@@ -1402,6 +1408,7 @@ Result<std::vector<JobResult>> MapReduceEngine::SubmitAllDirect(
     if (!is_map) {
       job->partitions[task_id].clear();
       job->partitions[task_id].shrink_to_fit();
+      job->partition_bytes[task_id] = 0;
     }
   };
 
@@ -1534,6 +1541,7 @@ Result<std::vector<JobResult>> MapReduceEngine::SubmitAllDirect(
           d.counters.output_records = o.output.num_records;
           d.emitted_bytes = o.emitted_bytes;
           d.emissions = std::move(o.emissions);
+          d.emission_bytes = std::move(o.emission_bytes);
           d.output = std::move(o.output);
           d.observer_charge = obs_charge;
           d.quarantine = std::move(o.quarantine);
@@ -1544,12 +1552,8 @@ Result<std::vector<JobResult>> MapReduceEngine::SubmitAllDirect(
       if (t.inject_failure) {
         // Same idea for a dying reduce attempt: its bucket was left in
         // place (nothing ran), so size the full attempt from it.
-        const auto& bucket = job->partitions[t.task_id];
-        uint64_t bucket_bytes = 0;
-        for (const auto& [key, value] : bucket) {
-          bucket_bytes += key.EncodedSize() + value.EncodedSize();
-        }
-        double n = static_cast<double>(bucket.size());
+        const uint64_t bucket_bytes = job->partition_bytes[t.task_id];
+        double n = static_cast<double>(job->partitions[t.task_id].size());
         double est_cpu = n + n * std::log2(n + 1.0);
         SimMillis full = CeilDiv(static_cast<double>(bucket_bytes),
                                  config_.reduce_read_bytes_per_ms) +
@@ -1562,11 +1566,7 @@ Result<std::vector<JobResult>> MapReduceEngine::SubmitAllDirect(
         // Every shuffle fetch of the bucket (the first plus each allowed
         // re-fetch) came back corrupt; each transfer is billed. The bucket
         // stayed in place for the retry.
-        const auto& bucket = job->partitions[t.task_id];
-        uint64_t bucket_bytes = 0;
-        for (const auto& [key, value] : bucket) {
-          bucket_bytes += key.EncodedSize() + value.EncodedSize();
-        }
+        const uint64_t bucket_bytes = job->partition_bytes[t.task_id];
         duration = std::max<SimMillis>(
             1, static_cast<SimMillis>(t.corrupt_fetches) *
                    CeilDiv(static_cast<double>(bucket_bytes),
@@ -1933,10 +1933,7 @@ Result<std::vector<JobResult>> MapReduceEngine::SubmitAllDirect(
           // failed the job if the plan would exceed max_spill_runs.
           {
             const auto mode = job_memory_mode(job);
-            uint64_t bytes = 0;
-            for (const auto& kv : job.partitions[next.task_id]) {
-              bytes += kv.first.EncodedSize() + kv.second.EncodedSize();
-            }
+            const uint64_t bytes = job.partition_bytes[next.task_id];
             launch.bucket_bytes = bytes;
             const double state = std::ceil(
                 static_cast<double>(bytes) * config_.reduce_memory_factor);
@@ -1976,6 +1973,7 @@ Result<std::vector<JobResult>> MapReduceEngine::SubmitAllDirect(
             launch.bucket = job.partitions[next.task_id];
           } else {
             launch.bucket = std::move(job.partitions[next.task_id]);
+            job.partition_bytes[next.task_id] = 0;
           }
           launch.node = pick_node(/*is_map=*/false, /*exclude=*/-1);
           --free_reduce[launch.node];
@@ -2043,8 +2041,8 @@ Result<std::vector<JobResult>> MapReduceEngine::SubmitAllDirect(
         ExecuteMapTask(t.job->spec->inputs[t.map_ref.input_index], *t.split,
                        t.task_index, t.poison, t.skip_mode, &t.outcome);
       } else {
-        ExecuteReduceTask(*t.job->spec, std::move(t.bucket), t.spill_runs,
-                          t.corrupt_spill, &t.outcome);
+        ExecuteReduceTask(*t.job->spec, std::move(t.bucket), t.bucket_bytes,
+                          t.spill_runs, t.corrupt_spill, &t.outcome);
       }
     };
     if (pool_ != nullptr && wave.size() > 1) {

@@ -152,11 +152,19 @@ void TableWriter::Seal() {
 
 Result<Value> SplitReader::Next() {
   if (AtEnd()) return Status::NotFound("end of split");
-  return Value::Decode(split_->data, &offset_);
+  Result<Value> row = Value::Decode(split_->data, &offset_);
+  if (!row.ok()) {
+    return Status::DataLoss("split row decode: " + row.status().message());
+  }
+  return row;
 }
 
 Result<std::vector<Value>> DecodeSplitRows(const Split& split) {
   DYNO_RETURN_IF_ERROR(VerifySplit(split));
+  return DecodeVerifiedSplitRows(split);
+}
+
+Result<std::vector<Value>> DecodeVerifiedSplitRows(const Split& split) {
   std::vector<Value> rows;
   rows.reserve(split.num_records);
   if (split.format == SplitFormat::kRow) {

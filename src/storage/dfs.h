@@ -181,7 +181,8 @@ class SplitReader {
  public:
   explicit SplitReader(const Split* split) : split_(split) {}
 
-  /// Returns the next row, or NotFound at end of split.
+  /// Returns the next row, or NotFound at end of split. A row that does not
+  /// decode is DataLoss, like any other defect in stored bytes.
   Result<Value> Next();
 
   bool AtEnd() const { return offset_ >= split_->data.size(); }
@@ -200,6 +201,10 @@ class SplitReader {
 /// (truncated frame, bad magic, record-count mismatch) is also DataLoss —
 /// corruption never surfaces as a wrong answer.
 Result<std::vector<Value>> DecodeSplitRows(const Split& split);
+
+/// DecodeSplitRows without the checksum, for a caller that has just run
+/// VerifySplit on the same bytes itself.
+Result<std::vector<Value>> DecodeVerifiedSplitRows(const Split& split);
 
 /// Reads an entire file into a row vector (test/debug helper; real scans go
 /// through map tasks). Every split is checksum-verified first; a corrupt

@@ -1,9 +1,11 @@
 #include <cmath>
 #include <set>
+#include <string>
 #include <utility>
 
 #include <gtest/gtest.h>
 
+#include "common/crc32c.h"
 #include "common/hash.h"
 #include "common/random.h"
 #include "common/sim_time.h"
@@ -14,6 +16,49 @@
 
 namespace dyno {
 namespace {
+
+// --- CRC32C ---
+
+TEST(Crc32cTest, KnownAnswers) {
+  // RFC 3720 (iSCSI) appendix B.4 vectors.
+  EXPECT_EQ(Crc32c("123456789"), 0xE3069283u);
+  std::string zeros(32, '\x00');
+  std::string ones(32, '\xFF');
+  std::string ascending;
+  for (int i = 0; i < 32; ++i) ascending.push_back(static_cast<char>(i));
+  EXPECT_EQ(Crc32c(zeros), 0x8A9136AAu);
+  EXPECT_EQ(Crc32c(ones), 0x62A8AB43u);
+  EXPECT_EQ(Crc32c(ascending), 0x46DD794Eu);
+  EXPECT_EQ(Crc32c(""), 0u);
+}
+
+TEST(Crc32cTest, DispatchedKernelMatchesTableAtEveryLengthAndAlignment) {
+  Rng rng(7);
+  std::string buf(8 + 300, '\0');
+  for (char& c : buf) c = static_cast<char>(rng.Uniform(256));
+  for (size_t start = 0; start < 8; ++start) {
+    for (size_t n = 0; n <= 300; ++n) {
+      const char* p = buf.data() + start;
+      EXPECT_EQ(Crc32cExtend(0, p, n), Crc32cExtendTableForTesting(0, p, n))
+          << "start " << start << " length " << n;
+      EXPECT_EQ(Crc32cExtend(0x12345678u, p, n),
+                Crc32cExtendTableForTesting(0x12345678u, p, n))
+          << "start " << start << " length " << n;
+    }
+  }
+}
+
+TEST(Crc32cTest, ExtendSplitAtEveryPointMatchesOneShot) {
+  Rng rng(11);
+  std::string buf(300, '\0');
+  for (char& c : buf) c = static_cast<char>(rng.Uniform(256));
+  const uint32_t whole = Crc32c(buf);
+  for (size_t cut = 0; cut <= buf.size(); ++cut) {
+    uint32_t crc = Crc32cExtend(0, buf.data(), cut);
+    crc = Crc32cExtend(crc, buf.data() + cut, buf.size() - cut);
+    EXPECT_EQ(crc, whole) << "cut " << cut;
+  }
+}
 
 // --- Status / Result ---
 

@@ -201,6 +201,39 @@ TEST(BlockCorruptionTest, AtRestBitRotSurfacesAsDataLossNeverWrongAnswer) {
   EXPECT_EQ(result->output, nullptr);
 }
 
+TEST(BlockCorruptionTest, MalformedRowsUnderACleanChecksumAreDataLoss) {
+  // A writer bug, not bit rot: the block's rows were cut short before the
+  // checksum was stamped, so the CRC verifies and only the decode fails.
+  // That is still lost data, never an internal error or a wrong answer.
+  Dfs dfs;
+  MapReduceEngine engine(&dfs, BaseConfig());
+  auto file = dfs.Create("/in");
+  ASSERT_TRUE(file.ok());
+  Split good;
+  Split bad;
+  for (int i = 0; i < 3; ++i) {
+    Row(i, i).EncodeTo(&good.data);
+    Row(i, i).EncodeTo(&bad.data);
+  }
+  good.num_records = 3;
+  bad.num_records = 3;
+  bad.data.resize(bad.data.size() - 2);
+  (*file)->AppendSplit(std::move(good));
+  (*file)->AppendSplit(std::move(bad));
+  ASSERT_TRUE(VerifySplit((*file)->splits()[1]).ok());
+
+  auto rows = ReadAllRows(**file);
+  ASSERT_FALSE(rows.ok());
+  EXPECT_EQ(rows.status().code(), StatusCode::kDataLoss)
+      << rows.status().ToString();
+
+  auto result = engine.Submit(IdentityScan(*file, "/out"));
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->status.code(), StatusCode::kDataLoss)
+      << result->status.ToString();
+  EXPECT_EQ(result->output, nullptr);
+}
+
 // ---------------------------------------------------------------------------
 // Shuffle corruption: in-attempt re-fetch, attempt retry, permanent loss.
 // ---------------------------------------------------------------------------

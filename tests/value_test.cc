@@ -1,6 +1,12 @@
 #include "json/value.h"
 
+#include <cstdint>
+#include <set>
+#include <string>
+
 #include <gtest/gtest.h>
+
+#include "common/random.h"
 
 namespace dyno {
 namespace {
@@ -124,6 +130,86 @@ TEST(ValueTest, DecodeTruncatedFails) {
   buf.resize(buf.size() - 2);
   size_t offset = 0;
   EXPECT_FALSE(Value::Decode(buf, &offset).ok());
+}
+
+Value RandomValue(Rng* rng, int depth) {
+  switch (rng->Uniform(depth > 0 ? 7 : 5)) {
+    case 0:
+      return Value::Null();
+    case 1:
+      return Value::Bool(rng->Bernoulli(0.5));
+    case 2:
+      // Small negatives, then the full 64-bit range (ten-byte varints).
+      return Value::Int(rng->Bernoulli(0.5)
+                            ? -static_cast<int64_t>(rng->Uniform(1000))
+                            : static_cast<int64_t>(rng->Next()));
+    case 3:
+      return Value::Double(rng->NextDouble() * 2e6 - 1e6);
+    case 4:
+      // Up to 300 bytes, so lengths take one- and two-byte varints.
+      return Value::String(std::string(
+          rng->Uniform(300), static_cast<char>('a' + rng->Uniform(26))));
+    case 5: {
+      ArrayElements elems;
+      for (uint64_t n = rng->Uniform(4); n > 0; --n) {
+        elems.push_back(RandomValue(rng, depth - 1));
+      }
+      return Value::Array(std::move(elems));
+    }
+    default: {
+      StructFields fields;
+      for (uint64_t n = rng->Uniform(4); n > 0; --n) {
+        fields.emplace_back(std::string(1 + rng->Uniform(12), 'f'),
+                            RandomValue(rng, depth - 1));
+      }
+      return Value::Struct(std::move(fields));
+    }
+  }
+}
+
+/// A struct holding an array of structs, plus random nested values.
+Value RandomRow(Rng* rng) {
+  ArrayElements items;
+  for (uint64_t n = 1 + rng->Uniform(3); n > 0; --n) {
+    items.push_back(MakeRow({{"k", Value::Int(-static_cast<int64_t>(
+                                       rng->Uniform(1u << 20)))},
+                             {"v", RandomValue(rng, 2)}}));
+  }
+  return MakeRow({{"id", RandomValue(rng, 0)},
+                  {"items", Value::Array(std::move(items))},
+                  {"extra", RandomValue(rng, 3)}});
+}
+
+TEST(ValueTest, EveryProperPrefixOfAnEncodingFailsWithAKnownError) {
+  const std::set<std::string> known = {
+      "truncated value",           "truncated bool",
+      "malformed varint",          "truncated double",
+      "bad string",                "array count exceeds input",
+      "field count exceeds input", "bad field name",
+      "unknown value tag"};
+  Rng rng(2014);
+  for (int i = 0; i < 200; ++i) {
+    Value v = RandomRow(&rng);
+    std::string buf;
+    v.EncodeTo(&buf);
+    ASSERT_EQ(buf.size(), v.EncodedSize());
+    size_t offset = 0;
+    auto decoded = Value::Decode(buf, &offset);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(offset, buf.size());
+    std::string again;
+    decoded->EncodeTo(&again);
+    ASSERT_EQ(again, buf) << v.ToString();
+    for (size_t len = 0; len < buf.size(); ++len) {
+      size_t prefix_offset = 0;
+      auto truncated =
+          Value::Decode(std::string_view(buf).substr(0, len), &prefix_offset);
+      ASSERT_FALSE(truncated.ok()) << "prefix " << len << " of " << buf.size();
+      EXPECT_EQ(truncated.status().code(), StatusCode::kInternal);
+      EXPECT_EQ(known.count(truncated.status().message()), 1u)
+          << truncated.status().message();
+    }
+  }
 }
 
 TEST(ValueTest, MultipleValuesDecodeSequentially) {
