@@ -23,7 +23,7 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "columnar/knobs.h"
+#include "exec/plan_executor.h"
 #include "exec/row_ops.h"
 #include "expr/expr.h"
 #include "mr/engine.h"
@@ -65,8 +65,8 @@ struct LegResult {
   uint64_t splits_pruned = 0;
 };
 
-/// One engine-level scan job, configured exactly like the driver's leaf
-/// scan: columnar pushes the filter into the batch evaluator, zone maps
+/// One engine-level scan job, configured by the driver's own leaf-scan
+/// setup: columnar pushes the filter into the batch evaluator, zone maps
 /// drop provably-empty splits before submission.
 LegResult RunScanLeg(MapReduceEngine* engine, std::shared_ptr<DfsFile> file,
                      const ExprPtr& filter, const std::string& out_path) {
@@ -76,26 +76,15 @@ LegResult RunScanLeg(MapReduceEngine* engine, std::shared_ptr<DfsFile> file,
   JobSpec spec;
   spec.name = "bench_scan";
   spec.output_path = out_path;
+  RelationBinding binding;
+  binding.file = file;
+  binding.scan_filter = filter;
+  binding.scan_cpu_per_record = filter ? filter->CpuCost() : 0.0;
   MapInput input;
-  input.file = file;
-  ExprPtr closure_filter = filter;
-  if (columnar::ColumnarEnabled() && filter != nullptr) {
-    input.scan_filter = filter;
-    input.scan_filter_cpu = filter->CpuCost();
-    input.cpu_per_record = 1.0;
-    closure_filter = nullptr;
-  } else {
-    input.cpu_per_record = 1.0 + (filter ? filter->CpuCost() : 0.0);
+  ExprPtr f = ConfigureLeafScan(engine, binding, &input);
+  if (input.split_indexes_exact) {
+    leg.splits_pruned = leg.splits_total - input.split_indexes.size();
   }
-  if (columnar::ZoneMapsEnabled() && filter != nullptr) {
-    PruneResult pruned = PruneSplitIndexes(*file, filter);
-    leg.splits_pruned = pruned.pruned;
-    if (pruned.pruned > 0) {
-      input.split_indexes.assign(pruned.kept.begin(), pruned.kept.end());
-      input.split_indexes_exact = true;
-    }
-  }
-  ExprPtr f = std::move(closure_filter);
   input.map_fn = [f](const Value& record, MapContext* ctx) -> Status {
     auto keep = EvalFilter(f, record);
     if (!keep.ok()) return keep.status();

@@ -35,10 +35,6 @@ struct DynoOptions {
   /// output as the leaf's materialization (paper §4.1).
   bool reuse_pilot_full_outputs = true;
 
-  /// Re-optimize after each execution step (DYNOPT). The SIMPLE strategies
-  /// force this off.
-  bool reoptimize = true;
-
   /// The paper's §8 extension: when a broadcast build side turns out not
   /// to fit in memory, switch that join to a repartition join instead of
   /// failing the query (Jaql's native behaviour, kept for the baselines,
@@ -63,13 +59,16 @@ struct DynoOptions {
   /// identifies one logical query — do not share it across queries.
   std::string checkpoint_path;
 
-  /// Whole-job retry budget: a job that fails for a transient reason (task
-  /// attempts exhausted under heavy node loss) is re-submitted up to this
-  /// many total attempts before the driver treats the failure as permanent
-  /// and re-plans around the subtrees it already materialized. <= 0 reads
-  /// DYNO_MAX_JOB_ATTEMPTS (strict-or-abort parsing), defaulting to 1 (no
-  /// retry). OutOfMemory and Unavailable failures are never retried (the
-  /// former has its own fallback, the latter cannot succeed).
+  /// Whole-job retry budget of the DYNOPT strategies: a job that fails for
+  /// a transient reason (task attempts exhausted under heavy node loss) is
+  /// re-submitted up to this many total attempts before the driver treats
+  /// the failure as permanent and re-plans around the subtrees it already
+  /// materialized. <= 0 reads DYNO_MAX_JOB_ATTEMPTS (strict-or-abort
+  /// parsing), defaulting to 1 (no retry). OutOfMemory and Unavailable
+  /// failures are never retried (the former has its own fallback, the
+  /// latter cannot succeed). DYNOPT-SIMPLE runs its plan through
+  /// RunStaticPlan, which never retries a job: its first failure ends the
+  /// query (only the broadcast fallback runs there).
   int max_job_attempts = 0;
 
   /// Slot-millisecond cap on whole-job *retries* (attempts 2..N): once the
@@ -78,7 +77,8 @@ struct DynoOptions {
   /// a pathological query cannot eat the cluster through its retry ladder.
   /// The first attempt of every job is never charged. < 0 reads
   /// DYNO_RETRY_BUDGET_MS (strict-or-abort parsing), defaulting to 0 =
-  /// unlimited.
+  /// unlimited. Like max_job_attempts, it has no effect under
+  /// DYNOPT-SIMPLE, which never retries.
   SimMillis retry_budget_ms = -1;
 
   /// OOM retry ladder for spillable (reduce-side) operators, replacing the
@@ -89,7 +89,8 @@ struct DynoOptions {
   /// OutOfMemory as permanent. The value is the number of rungs; 0 keeps
   /// the legacy behavior. < 0 reads DYNO_OOM_RETRIES (strict-or-abort),
   /// defaulting to 0. Broadcast (map-only) OOM keeps its own fallback
-  /// (adaptive_join_fallback).
+  /// (adaptive_join_fallback). Only the DYNOPT strategies climb the
+  /// ladder; under DYNOPT-SIMPLE a reduce-side OutOfMemory ends the query.
   int oom_retry_ladder = -1;
 
   /// Copy the engine's ClusterConfig memory model (memory_per_task_bytes,
@@ -205,14 +206,11 @@ class DynoDriver {
   const CheckpointManifest& manifest() const { return manifest_; }
 
  private:
-  struct BlockState;
+  /// Runs one join block through Algorithm 2 (defined in driver.cc).
+  class BlockRun;
 
   Result<QueryRunReport> ExecuteInternal(const Query& query,
                                          const CheckpointManifest* resume);
-
-  Result<std::shared_ptr<DfsFile>> RunJoinBlock(
-      const JoinBlock& block, QueryRunReport* report,
-      const CheckpointManifest* resume);
 
   MapReduceEngine* engine_;
   Catalog* catalog_;
@@ -238,7 +236,9 @@ struct StaticRunResult : JobTally {
 /// Used by DYNOPT-SIMPLE and by the RELOPT / BESTSTATIC baselines. With
 /// `broadcast_fallback`, an over-memory broadcast is demoted to
 /// repartition jobs instead of failing (DYNO's §8 dynamic join operator);
-/// the baselines keep Jaql's fail-on-OOM behaviour.
+/// the baselines keep Jaql's fail-on-OOM behaviour. Nothing else recovers
+/// here: no job is retried and no OOM ladder runs, so any other job
+/// failure is the call's error.
 Result<StaticRunResult> RunStaticPlan(
     PlanExecutor* executor, const PlanNode& plan, bool parallel_waves,
     const std::vector<std::string>& final_projection,

@@ -52,36 +52,6 @@ void RecordSplitsPruned(MapReduceEngine* engine, const std::string& path,
   }
 }
 
-/// Configures one leaf-scan MapInput from its binding: when DYNO_COLUMNAR=1
-/// the scan filter is pushed into the engine (batch evaluation on columnar
-/// splits), otherwise it stays inside the map closure exactly as before.
-/// When DYNO_ZONE_MAPS=1 the filter additionally prunes whole splits via
-/// their zone maps before the job is submitted. Returns the filter the map
-/// closure must still apply (null when pushed down).
-ExprPtr ConfigureLeafScan(MapReduceEngine* engine,
-                          const RelationBinding& binding, MapInput* input) {
-  input->file = binding.file;
-  ExprPtr closure_filter = binding.scan_filter;
-  if (columnar::ColumnarEnabled() && binding.scan_filter != nullptr) {
-    input->scan_filter = binding.scan_filter;
-    input->scan_filter_cpu = binding.scan_cpu_per_record;
-    input->cpu_per_record = 1.0;
-    closure_filter = nullptr;
-  } else {
-    input->cpu_per_record = 1.0 + binding.scan_cpu_per_record;
-  }
-  if (columnar::ZoneMapsEnabled() && binding.scan_filter != nullptr) {
-    PruneResult pruned = PruneSplitIndexes(*binding.file, binding.scan_filter);
-    if (pruned.pruned > 0) {
-      input->split_indexes.assign(pruned.kept.begin(), pruned.kept.end());
-      input->split_indexes_exact = true;
-      RecordSplitsPruned(engine, binding.file->path(), pruned.pruned,
-                         binding.file->splits().size());
-    }
-  }
-  return closure_filter;
-}
-
 // Globally unique unit uids, so outputs of units from different
 // decompositions never collide in one executor's bookkeeping.
 std::atomic<int64_t> g_unit_uid{0};
@@ -168,6 +138,30 @@ namespace {
 // DFS namespace for its intermediate results.
 std::atomic<int> g_executor_instances{0};
 }  // namespace
+
+ExprPtr ConfigureLeafScan(MapReduceEngine* engine,
+                          const RelationBinding& binding, MapInput* input) {
+  input->file = binding.file;
+  ExprPtr closure_filter = binding.scan_filter;
+  if (columnar::ColumnarEnabled() && binding.scan_filter != nullptr) {
+    input->scan_filter = binding.scan_filter;
+    input->scan_filter_cpu = binding.scan_cpu_per_record;
+    input->cpu_per_record = 1.0;
+    closure_filter = nullptr;
+  } else {
+    input->cpu_per_record = 1.0 + binding.scan_cpu_per_record;
+  }
+  if (columnar::ZoneMapsEnabled() && binding.scan_filter != nullptr) {
+    PruneResult pruned = PruneSplitIndexes(*binding.file, binding.scan_filter);
+    if (pruned.pruned > 0) {
+      input->split_indexes.assign(pruned.kept.begin(), pruned.kept.end());
+      input->split_indexes_exact = true;
+      RecordSplitsPruned(engine, binding.file->path(), pruned.pruned,
+                         binding.file->splits().size());
+    }
+  }
+  return closure_filter;
+}
 
 PlanExecutor::PlanExecutor(MapReduceEngine* engine, ExecOptions options)
     : engine_(engine),

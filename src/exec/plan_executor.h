@@ -53,6 +53,18 @@ struct ExecOptions {
   }
 };
 
+/// Configures one leaf-scan MapInput from its binding: when DYNO_COLUMNAR=1
+/// the scan filter is pushed into the engine (batch evaluation on columnar
+/// splits), otherwise it stays inside the map closure. When DYNO_ZONE_MAPS=1
+/// the filter additionally prunes whole splits via their zone maps before
+/// the job is submitted (recorded on `engine`'s scan.splits_pruned counter
+/// and as a split_pruned trace event). Returns the filter the map closure
+/// must still apply (null when pushed down). Every scan of a bound relation
+/// is configured here: join inputs, pre-filter jobs and single-table
+/// blocks.
+ExprPtr ConfigureLeafScan(MapReduceEngine* engine,
+                          const RelationBinding& binding, MapInput* input);
+
 /// One input of a job unit: either a bound relation (leaf of the plan) or
 /// the output of another unit (referenced by its globally unique uid, so
 /// several decompositions can coexist on one executor).

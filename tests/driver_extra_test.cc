@@ -1,6 +1,8 @@
 // Additional driver-level coverage: Hive-backend correctness, static-plan
 // serial/parallel equivalence, the no-pilot ablation, left-deep-only mode,
-// single-table blocks, and report tallies against the engine's job spans.
+// single-table blocks, report tallies against the engine's job spans, and
+// the recovery paths (whole-job retry, abandon-and-replan, the static
+// plan's broadcast fallback).
 
 #include <algorithm>
 #include <cstdint>
@@ -20,6 +22,22 @@
 
 namespace dyno {
 namespace {
+
+/// Expects `result` to hold exactly the brute-force oracle's rows for
+/// `block`.
+void ExpectOracleRows(Catalog* catalog, const JoinBlock& block,
+                      const DfsFile& result) {
+  auto oracle = NaiveEvaluateJoinBlock(catalog, block);
+  ASSERT_TRUE(oracle.ok());
+  std::vector<Value> actual = MustReadAll(result);
+  std::vector<Value> want = std::move(oracle).value();
+  SortRowsForComparison(&actual);
+  SortRowsForComparison(&want);
+  ASSERT_EQ(actual.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(actual[i].Compare(want[i]), 0);
+  }
+}
 
 class DriverExtraTest : public ::testing::Test {
  protected:
@@ -45,16 +63,7 @@ class DriverExtraTest : public ::testing::Test {
   }
 
   void ExpectOracleMatch(const Query& query, const QueryRunReport& report) {
-    auto oracle = NaiveEvaluateJoinBlock(&catalog_, query.join_block);
-    ASSERT_TRUE(oracle.ok());
-    std::vector<Value> actual = MustReadAll(*report.result);
-    std::vector<Value> want = std::move(oracle).value();
-    SortRowsForComparison(&actual);
-    SortRowsForComparison(&want);
-    ASSERT_EQ(actual.size(), want.size());
-    for (size_t i = 0; i < want.size(); ++i) {
-      ASSERT_EQ(actual[i].Compare(want[i]), 0);
-    }
+    ExpectOracleRows(&catalog_, query.join_block, *report.result);
   }
 
   Dfs dfs_;
@@ -243,6 +252,17 @@ std::vector<std::string> CountedJobSpanArgs(const obs::TraceSink& trace) {
   return spans;
 }
 
+std::string StringArg(const std::string& args, const std::string& key) {
+  const std::string tag = "\"" + key + "\":\"";
+  size_t pos = args.find(tag);
+  if (pos == std::string::npos) {
+    ADD_FAILURE() << "no " << key << " in " << args;
+    return "";
+  }
+  pos += tag.size();
+  return args.substr(pos, args.find('"', pos) - pos);
+}
+
 int64_t IntArg(const std::string& args, const std::string& key) {
   size_t pos = args.find("\"" + key + "\":");
   if (pos == std::string::npos) {
@@ -380,6 +400,178 @@ TEST_F(ReportTallyTest, MultiJoinBroadcastFallbackSumsEveryJob) {
   std::map<std::string, int64_t> totals =
       ExpectTalliesMatchSpans(*report, trace);
   EXPECT_GT(totals["reduce_spills"], 0);
+}
+
+// --- Recovery: whole-job retry, abandon-and-replan, static fallback ---
+
+class DriverRecoveryTest : public ::testing::Test {
+ protected:
+  DriverRecoveryTest() : catalog_(&dfs_) {
+    TpchConfig config;
+    config.scale = 0.0005;
+    config.split_bytes = 8 * 1024;
+    EXPECT_TRUE(GenerateTpch(&catalog_, config).ok());
+  }
+
+  /// No random faults, and one attempt per task: a scripted corruption of
+  /// every replica of a job's first block fails that job outright.
+  static ClusterConfig OneAttemptConfig(
+      std::vector<FaultConfig::ScriptedCorruption> corruptions) {
+    ClusterConfig config;
+    config.job_startup_ms = 2000;
+    config.memory_per_task_bytes = 64 * 1024;
+    config.faults.use_env_defaults = false;
+    config.faults.max_task_attempts = 1;
+    config.faults.scripted_corruptions = std::move(corruptions);
+    return config;
+  }
+
+  /// Fails the first submission of the job named `job` ("t<N>"); a
+  /// resubmission gets a new name, so the script fires once.
+  static FaultConfig::ScriptedCorruption FailFirstSubmission(
+      const std::string& job) {
+    FaultConfig::ScriptedCorruption corruption;
+    corruption.target = FaultConfig::ScriptedCorruption::Target::kBlock;
+    corruption.job = job;
+    corruption.task_id = 0;
+    corruption.attempt = 1;
+    corruption.count = DfsFile::kDefaultReplicas;
+    return corruption;
+  }
+
+  /// Runs Q10 under DYNOPT with `max_job_attempts` on a fresh engine.
+  Result<QueryRunReport> RunQ10(const ClusterConfig& config,
+                                int max_job_attempts, obs::TraceSink* trace) {
+    MapReduceEngine engine(&dfs_, config);
+    engine.set_trace(trace);
+    DynoOptions options;
+    options.pilot.k = 256;
+    options.max_job_attempts = max_job_attempts;
+    options.retry_budget_ms = 0;
+    options.oom_retry_ladder = 0;
+    StatsStore store;
+    DynoDriver driver(&engine, &catalog_, &store, options);
+    return driver.Execute(MakeTpchQ10());
+  }
+
+  /// The job name of the first `event` ("checkpoint": a wave unit;
+  /// "final_step": the root unit) of a fault-free Q10 run.
+  std::string CleanRunJob(const std::string& event) {
+    obs::TraceSink trace;
+    auto clean = RunQ10(OneAttemptConfig({}), 1, &trace);
+    EXPECT_TRUE(clean.ok()) << clean.status().ToString();
+    std::vector<std::string> found = EventArgs(trace, "driver", event);
+    if (found.empty()) {
+      ADD_FAILURE() << "the clean run has no " << event << " event";
+      return "";
+    }
+    return StringArg(found[0], "relation");
+  }
+
+  /// Fails `job`'s first submission with two job attempts allowed: the
+  /// retry must recover it, once, with the oracle's rows.
+  void ExpectOneRetryRecovers(const std::string& job) {
+    obs::TraceSink trace;
+    auto report = RunQ10(OneAttemptConfig({FailFirstSubmission(job)}),
+                         /*max_job_attempts=*/2, &trace);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    ExpectOracleRows(&catalog_, MakeTpchQ10().join_block, *report->result);
+    EXPECT_EQ(report->job_retries, 1);
+    EXPECT_GT(report->retry_slot_ms, 0);
+    std::vector<std::string> retries = EventArgs(trace, "driver", "job_retry");
+    ASSERT_EQ(retries.size(), 1u);
+    EXPECT_EQ(IntArg(retries[0], "attempt"), 2);
+    EXPECT_NE(StringArg(retries[0], "error").find("job " + job + " failed"),
+              std::string::npos)
+        << retries[0];
+    EXPECT_TRUE(EventArgs(trace, "driver", "job_permanent_failure").empty());
+  }
+
+  // Declared first: the columnar knobs also steer table generation.
+  ScopedEnv env_{{{"DYNO_COLUMNAR", "0"}, {"DYNO_ZONE_MAPS", "0"}}};
+  Dfs dfs_;
+  Catalog catalog_;
+};
+
+TEST_F(DriverRecoveryTest, WholeJobRetryRecoversAWaveUnit) {
+  std::string job = CleanRunJob("checkpoint");
+  ASSERT_FALSE(job.empty());
+  ExpectOneRetryRecovers(job);
+}
+
+TEST_F(DriverRecoveryTest, WholeJobRetryRecoversTheRootUnit) {
+  std::string job = CleanRunJob("final_step");
+  ASSERT_FALSE(job.empty());
+  ExpectOneRetryRecovers(job);
+}
+
+TEST_F(DriverRecoveryTest, FailedRootIsAbandonedAndReplanned) {
+  std::string job = CleanRunJob("final_step");
+  ASSERT_FALSE(job.empty());
+  obs::TraceSink trace;
+  auto report = RunQ10(OneAttemptConfig({FailFirstSubmission(job)}),
+                       /*max_job_attempts=*/1, &trace);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ExpectOracleRows(&catalog_, MakeTpchQ10().join_block, *report->result);
+  EXPECT_EQ(report->job_retries, 0);
+  std::vector<std::string> failures =
+      EventArgs(trace, "driver", "job_permanent_failure");
+  ASSERT_EQ(failures.size(), 1u);
+  EXPECT_EQ(IntArg(failures[0], "permanent_failures"), 1);
+  // The re-plan ran the root again under a new name.
+  std::vector<std::string> finals = EventArgs(trace, "driver", "final_step");
+  ASSERT_EQ(finals.size(), 1u);
+  EXPECT_NE(StringArg(finals[0], "relation"), job);
+}
+
+TEST_F(DriverRecoveryTest, SimpleStrategyFallsBackWhereTheStaticPlanFails) {
+  // The optimizer believes 64K of task memory while tasks get 2K, so the
+  // plan's broadcast of customer fails at runtime.
+  ClusterConfig config = OneAttemptConfig({});
+  config.memory_per_task_bytes = 2 * 1024;
+  MapReduceEngine engine(&dfs_, config);
+  DynoOptions options;
+  options.strategy = ExecutionStrategy::kSimpleSerial;
+  options.use_pilot_runs = false;  // plan from base statistics, as below
+  options.cost.max_memory_bytes = 64 * 1024;
+  options.cost.estimated_build_margin = 1.0;
+  options.sync_cost_memory = false;  // keep the deliberate lie above
+  Query query;
+  query.join_block.tables = {{"customer", "c"}, {"orders", "o"}};
+  query.join_block.edges = {{"o", "o_custkey", "c", "c_custkey"}};
+  query.join_block.output_columns = {"o_orderkey", "c_name"};
+  StatsStore store;
+  DynoDriver driver(&engine, &catalog_, &store, options);
+  auto report = driver.Execute(query);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->broadcast_fallbacks, 1);
+  ExpectOracleRows(&catalog_, query.join_block, *report->result);
+
+  // The same plan, rebuilt from the same base statistics, run without the
+  // fallback: RunStaticPlan surfaces the OutOfMemory.
+  OptJoinGraph graph;
+  PlanExecutor executor(&engine, ExecOptions());
+  for (const LeafExpr& leaf : ExtractLeafExprs(query.join_block, nullptr)) {
+    auto file = catalog_.OpenTable(leaf.table);
+    ASSERT_TRUE(file.ok());
+    TableStats stats;
+    stats.cardinality = static_cast<double>((*file)->num_records());
+    stats.avg_record_size = (*file)->avg_record_size();
+    graph.relations.push_back({leaf.alias, stats});
+    RelationBinding binding;
+    binding.file = *file;
+    executor.Bind(leaf.alias, std::move(binding));
+  }
+  graph.edges = {{"o", "o_custkey", "c", "c_custkey"}};
+  auto opt = JoinOptimizer(options.cost).Optimize(graph);
+  ASSERT_TRUE(opt.ok()) << opt.status().ToString();
+  ASSERT_EQ(report->plan_history.size(), 1u);
+  ASSERT_EQ(opt->plan->ToString(), report->plan_history[0].plan_compact);
+  auto run = RunStaticPlan(&executor, *opt->plan, /*parallel_waves=*/false,
+                           query.join_block.output_columns,
+                           /*broadcast_fallback=*/false);
+  ASSERT_FALSE(run.ok());
+  EXPECT_EQ(run.status().code(), StatusCode::kOutOfMemory);
 }
 
 }  // namespace
