@@ -34,6 +34,10 @@
 #               ladder run against the env-driven configuration path
 #   fuzz-smoke  codec + checkpoint-manifest + DFS-bit-rot + spill-run-rot
 #               fuzzing, small fixed budget
+#   speculation bench_fig7_speedup under 5% task failures: straggler scans
+#               and backup races over thousands of map tasks, under a 300 s
+#               hang guard (not a perf gate; ~27x the 11 s it takes on 4
+#               cores)
 #   hostbench   the host-time benchmark's self-test (python3 hostbench/run.py
 #               --selftest; about 60 s plus its own build on 4 cores), which
 #               compiles hostbench/ against src/ in .bench_build/
@@ -112,6 +116,11 @@ run "bench: mqo cache" \
 # the selective scan at least 2x faster.
 run "bench: columnar scan" \
   env DYNO_BENCH_SCAN_OUT=build/BENCH_scan.json build/bench/bench_scan
+
+# Speculation at scale: no other step runs the straggler scans over
+# thousands of tasks. The timeout is a hang guard, not a perf gate.
+run "bench: fig7 under task faults (speculation hang guard)" \
+  env DYNO_TASK_FAILURE_RATE=0.05 timeout 300 build/bench/bench_fig7_speedup
 
 # The host-time benchmark compiles against the engine and driver structs
 # on its own. Its self-test checks that it still builds, that it rejects

@@ -347,15 +347,20 @@ Result<ColumnBatch> ColumnBatch::Decode(std::string_view data) {
   return batch;
 }
 
-std::vector<Value> ColumnBatch::ToRows() const {
-  if (irregular_) return raw_rows_;
+namespace {
+
+/// Zips the column vectors back into rows. `Columns` is
+/// `const std::vector<ColumnVector>` to copy each value out, non-const to
+/// move it (std::move of a const value copies).
+template <typename Columns>
+std::vector<Value> AssembleRows(Columns& columns, uint64_t num_rows) {
   std::vector<Value> rows;
-  rows.reserve(num_rows_);
-  std::vector<size_t> cursor(columns_.size(), 0);
-  for (uint64_t r = 0; r < num_rows_; ++r) {
+  rows.reserve(num_rows);
+  std::vector<size_t> cursor(columns.size(), 0);
+  for (uint64_t r = 0; r < num_rows; ++r) {
     StructFields fields;
-    for (size_t c = 0; c < columns_.size(); ++c) {
-      const ColumnVector& col = columns_[c];
+    for (size_t c = 0; c < columns.size(); ++c) {
+      auto& col = columns[c];
       switch (static_cast<Presence>(col.presence[r])) {
         case Presence::kAbsent:
           break;
@@ -363,13 +368,25 @@ std::vector<Value> ColumnBatch::ToRows() const {
           fields.emplace_back(col.name, Value::Null());
           break;
         case Presence::kSet:
-          fields.emplace_back(col.name, col.values[cursor[c]++]);
+          fields.emplace_back(col.name, std::move(col.values[cursor[c]++]));
           break;
       }
     }
     rows.push_back(Value::Struct(std::move(fields)));
   }
   return rows;
+}
+
+}  // namespace
+
+std::vector<Value> ColumnBatch::ToRows() const& {
+  if (irregular_) return raw_rows_;
+  return AssembleRows(columns_, num_rows_);
+}
+
+std::vector<Value> ColumnBatch::ToRows() && {
+  if (irregular_) return std::move(raw_rows_);
+  return AssembleRows(columns_, num_rows_);
 }
 
 }  // namespace dyno::columnar

@@ -71,7 +71,10 @@ class ColumnBatch {
   static Result<ColumnBatch> Decode(std::string_view data);
 
   /// Reassembles the original rows (exact round trip of FromRows input).
-  std::vector<Value> ToRows() const;
+  std::vector<Value> ToRows() const&;
+  /// As above, but moves the decoded values out of the batch instead of
+  /// copying them; the batch is left valid but unspecified.
+  std::vector<Value> ToRows() &&;
 
   uint64_t num_rows() const { return num_rows_; }
   size_t num_columns() const { return columns_.size(); }

@@ -13,6 +13,7 @@
 #include "common/hash.h"
 #include "common/random.h"
 #include "common/string_util.h"
+#include "mr/speculation.h"
 #include "mr/worker_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -72,7 +73,6 @@ struct TaskRunState {
   bool completed = false;       ///< Some attempt has finished.
   bool data_committed = false;  ///< A successful attempt's data is staged.
   bool speculated = false;      ///< A backup attempt was launched.
-  bool primary_in_flight = false;
   bool backup_in_flight = false;
   SimMillis launch_time = 0;      ///< Launch of the in-flight primary.
   SimMillis expected_finish = 0;  ///< That attempt's completion time.
@@ -141,9 +141,12 @@ struct RunningJob {
   /// crash transfers only the re-executed maps' bytes.
   uint64_t shuffled_bytes = 0;
 
-  /// Durations of completed attempts, per phase — the speculation median.
-  std::vector<SimMillis> completed_map_ms;
-  std::vector<SimMillis> completed_reduce_ms;
+  /// Completed-attempt medians and in-flight primaries, per phase.
+  PhaseSpeculation map_speculation;
+  PhaseSpeculation reduce_speculation;
+  PhaseSpeculation& speculation(bool is_map) {
+    return is_map ? map_speculation : reduce_speculation;
+  }
 
   /// When the reduce phase opened (shuffle done) — trace span start.
   SimMillis reduce_start = 0;
@@ -1412,31 +1415,21 @@ Result<std::vector<JobResult>> MapReduceEngine::SubmitAllDirect(
     }
   };
 
-  auto median_ms = [](const std::vector<SimMillis>& v) -> SimMillis {
-    std::vector<SimMillis> copy(v);
-    size_t mid = copy.size() / 2;
-    std::nth_element(copy.begin(), copy.begin() + mid, copy.end());
-    return copy[mid];
-  };
-
   // Schedules a no-op wakeup at the earliest time an in-flight attempt of
   // `job` crosses the speculation cutoff, so stragglers are re-examined
   // even when no other event falls in between.
   auto push_speculation_wakeup = [&](RunningJob* job, bool is_map) {
     if (!retries_enabled || !config_.faults.speculative_execution) return;
-    const auto& durations =
-        is_map ? job->completed_map_ms : job->completed_reduce_ms;
-    if (durations.empty()) return;
+    const PhaseSpeculation& spec = job->speculation(is_map);
+    if (!spec.HasCompleted()) return;
     const auto& states = is_map ? job->map_states : job->reduce_states;
     SimMillis cutoff = static_cast<SimMillis>(
         std::ceil(config_.faults.speculative_slowness_threshold *
-                  static_cast<double>(median_ms(durations))));
+                  static_cast<double>(spec.Median())));
     SimMillis best = -1;
-    for (const TaskRunState& st : states) {
-      if (!st.primary_in_flight || st.completed || st.speculated ||
-          !st.data_committed) {
-        continue;
-      }
+    for (int t : spec.primaries_in_flight()) {
+      const TaskRunState& st = states[t];
+      if (st.completed || st.speculated || !st.data_committed) continue;
       SimMillis fire = st.launch_time + cutoff + 1;
       if (fire <= now_ || fire >= st.expected_finish) continue;
       if (best < 0 || fire < best) best = fire;
@@ -1640,7 +1633,7 @@ Result<std::vector<JobResult>> MapReduceEngine::SubmitAllDirect(
       duration = static_cast<SimMillis>(
           std::ceil(static_cast<double>(duration) * t.slowdown));
     }
-    st.primary_in_flight = true;
+    job->speculation(t.is_map).SetPrimaryInFlight(t.task_id, true);
     st.launch_time = now_;
     st.expected_finish = now_ + duration;
     st.base_duration = base;
@@ -1765,29 +1758,25 @@ Result<std::vector<JobResult>> MapReduceEngine::SubmitAllDirect(
   auto maybe_speculate = [&](RunningJob& job, bool is_map) {
     int& free_slots = is_map ? free_map_slots : free_reduce_slots;
     if (free_slots <= 0 || !job.fault_rng.has_value()) return;
-    const auto& durations =
-        is_map ? job.completed_map_ms : job.completed_reduce_ms;
-    if (durations.empty()) return;
+    const PhaseSpeculation& spec = job.speculation(is_map);
+    if (!spec.HasCompleted()) return;
     const auto& pending = is_map ? job.pending_map : job.pending_reduce;
     for (const PendingTask& p : pending) {
       if (p.not_before <= now_) return;  // Real work should use the slot.
     }
     auto& states = is_map ? job.map_states : job.reduce_states;
     double threshold = config_.faults.speculative_slowness_threshold *
-                       static_cast<double>(median_ms(durations));
+                       static_cast<double>(spec.Median());
     int slowest = -1;
     SimMillis slowest_elapsed = -1;
-    for (size_t t = 0; t < states.size(); ++t) {
+    for (int t : spec.primaries_in_flight()) {
       const TaskRunState& st = states[t];
-      if (!st.primary_in_flight || st.completed || st.speculated ||
-          !st.data_committed) {
-        continue;
-      }
+      if (st.completed || st.speculated || !st.data_committed) continue;
       SimMillis elapsed = now_ - st.launch_time;
       if (static_cast<double>(elapsed) <= threshold) continue;
       if (elapsed > slowest_elapsed) {
         slowest_elapsed = elapsed;
-        slowest = static_cast<int>(t);
+        slowest = t;
       }
     }
     if (slowest < 0) return;
@@ -2137,15 +2126,16 @@ Result<std::vector<JobResult>> MapReduceEngine::SubmitAllDirect(
       }
       auto& states = a.is_map ? job.map_states : job.reduce_states;
       TaskRunState& st = states[a.task_id];
+      PhaseSpeculation& spec = job.speculation(a.is_map);
       if (a.speculative) {
         st.backup_in_flight = false;
         st.speculated = false;  // Eligible for a fresh backup later.
       } else {
-        st.primary_in_flight = false;
+        spec.SetPrimaryInFlight(a.task_id, false);
       }
       ++job.result.attempts_killed_by_node;
       if (m_node_kills != nullptr) m_node_kills->Add();
-      if (!job.failed && !st.completed && !st.primary_in_flight &&
+      if (!job.failed && !st.completed && !spec.PrimaryInFlight(a.task_id) &&
           !st.backup_in_flight) {
         auto& pending = a.is_map ? job.pending_map : job.pending_reduce;
         pending.push_back({a.task_id, now_});
@@ -2203,6 +2193,9 @@ Result<std::vector<JobResult>> MapReduceEngine::SubmitAllDirect(
         int poison_failures = st.poison_failures;
         bool skip_mode = st.skip_mode;
         st = TaskRunState{};
+        // A primary that lost to a backup may still have been running; the
+        // loop above killed it.
+        job.map_speculation.SetPrimaryInFlight(static_cast<int>(t), false);
         st.failures = failures;
         st.poison_drawn = poison_drawn;
         st.poison = std::move(poison);
@@ -2362,11 +2355,11 @@ Result<std::vector<JobResult>> MapReduceEngine::SubmitAllDirect(
                                  .ArgInt("task", ev.task_id)
                                  .ArgBool("map", true));
             }
-            job.completed_map_ms.push_back(ev.attempt_duration);
+            job.map_speculation.AddCompleted(ev.attempt_duration);
             apply_durable_completion(&job, /*is_map=*/true, ev.task_id);
           }
         } else if (ev.attempt_failed) {
-          st.primary_in_flight = false;
+          job.map_speculation.SetPrimaryInFlight(ev.task_id, false);
           ++st.failures;
           if (ev.poison_failure) {
             // A map function "threw" on a poison record. After two such
@@ -2398,13 +2391,13 @@ Result<std::vector<JobResult>> MapReduceEngine::SubmitAllDirect(
                 {now_ + backoff, seq++, EventKind::kWakeup, job.job_index});
           }
         } else {
-          st.primary_in_flight = false;
+          job.map_speculation.SetPrimaryInFlight(ev.task_id, false);
           if (!st.completed) {
             st.completed = true;
             st.node = node;
             --job.map_tasks_remaining;
             ++job.result.map_tasks_run;
-            job.completed_map_ms.push_back(ev.attempt_duration);
+            job.map_speculation.AddCompleted(ev.attempt_duration);
             apply_durable_completion(&job, /*is_map=*/true, ev.task_id);
           }
           // else: the primary lost its race against a faster backup; it
@@ -2468,11 +2461,11 @@ Result<std::vector<JobResult>> MapReduceEngine::SubmitAllDirect(
                                  .ArgInt("task", ev.task_id)
                                  .ArgBool("map", false));
             }
-            job.completed_reduce_ms.push_back(ev.attempt_duration);
+            job.reduce_speculation.AddCompleted(ev.attempt_duration);
             apply_durable_completion(&job, /*is_map=*/false, ev.task_id);
           }
         } else if (ev.attempt_failed) {
-          st.primary_in_flight = false;
+          job.reduce_speculation.SetPrimaryInFlight(ev.task_id, false);
           ++st.failures;
           if (st.failures >= max_attempts) {
             std::string detail = StrFormat(
@@ -2494,13 +2487,13 @@ Result<std::vector<JobResult>> MapReduceEngine::SubmitAllDirect(
                 {now_ + backoff, seq++, EventKind::kWakeup, job.job_index});
           }
         } else {
-          st.primary_in_flight = false;
+          job.reduce_speculation.SetPrimaryInFlight(ev.task_id, false);
           if (!st.completed) {
             st.completed = true;
             st.node = node;
             --job.reduce_tasks_remaining;
             ++job.result.reduce_tasks_run;
-            job.completed_reduce_ms.push_back(ev.attempt_duration);
+            job.reduce_speculation.AddCompleted(ev.attempt_duration);
             apply_durable_completion(&job, /*is_map=*/false, ev.task_id);
           }
         }

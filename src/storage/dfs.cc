@@ -176,7 +176,7 @@ Result<std::vector<Value>> DecodeVerifiedSplitRows(const Split& split) {
   } else {
     DYNO_ASSIGN_OR_RETURN(columnar::ColumnBatch batch,
                           columnar::ColumnBatch::Decode(split.data));
-    rows = batch.ToRows();
+    rows = std::move(batch).ToRows();
   }
   if (rows.size() != split.num_records) {
     return Status::DataLoss(

@@ -6,6 +6,7 @@
 
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -64,6 +65,8 @@ void ExpectRoundTrip(const std::vector<Value>& rows) {
   std::string frame2;
   decoded->EncodeTo(&frame2);
   EXPECT_EQ(frame, frame2);
+  // Moving the values out yields the same rows as copying them.
+  ExpectRowsByteIdentical(std::move(*decoded).ToRows(), rows);
 }
 
 TEST(ColumnarBatchTest, EmptyBatchRoundTrips) { ExpectRoundTrip({}); }
@@ -129,6 +132,27 @@ TEST(ColumnarBatchTest, ReorderedFieldsRoundTripExactly) {
       MakeRow({{"b", Value::Int(3)}, {"a", Value::Int(4)}}),
   };
   ExpectRoundTrip(rows);
+}
+
+TEST(ColumnarBatchTest, RvalueToRowsMatchesConstForm) {
+  const std::vector<Value> regular = {
+      MakeRow({{"s", Value::String("alpha")}, {"i", Value::Int(1)}}),
+      MakeRow({{"s", Value::Null()}}),
+      MakeRow({{"s", Value::String("gamma")},
+               {"i", Value::Array({Value::Int(2), Value::String("x")})}}),
+  };
+  const std::vector<Value> irregular = {Value::String("one"), Value::Int(2),
+                                        MakeRow({{"a", Value::Int(3)}})};
+  for (const std::vector<Value>* rows : {&regular, &irregular}) {
+    std::string frame;
+    ColumnBatch::FromRows(*rows).EncodeTo(&frame);
+    auto decoded = ColumnBatch::Decode(frame);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(decoded->irregular(), rows == &irregular);
+    std::vector<Value> copied = decoded->ToRows();
+    ExpectRowsByteIdentical(std::move(*decoded).ToRows(), copied);
+    ExpectRowsByteIdentical(copied, *rows);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -439,5 +439,62 @@ TEST(MrFaultTest, ReduceRetryAfterShuffleFailureIsTransparent) {
       << "no crash placement caught reducers behind a re-shuffle";
 }
 
+TEST(MrFaultTest, SpeculationAtScaleIsPinnedAcrossThreadCounts) {
+  // Thousands of map tasks and dozens of reducers under stragglers, task
+  // failures and speculation: the scale at which the straggler scans'
+  // cost shows. The counts and the finish time are pinned literals; any
+  // drift in which attempts launch, race or retry (including the
+  // lowest-id tie-break among equally slow tasks) moves them.
+  auto run = [](int threads) {
+    Dfs dfs;
+    ClusterConfig config = BaseConfig();
+    config.map_slots = 140;
+    config.reduce_slots = 84;
+    config.execution_threads = threads;
+    config.faults.seed = 2014;
+    config.faults.task_failure_rate = 0.05;
+    config.faults.straggler_rate = 0.10;
+    config.faults.speculative_execution = true;
+    MapReduceEngine engine(&dfs, config);
+    auto input = MakeInput(&dfs, 24000, "/in");
+    EXPECT_GE(input->splits().size(), 2000u);
+    JobSpec spec;
+    spec.name = "speculation-at-scale";
+    spec.output_path = "/out";
+    spec.num_reduce_tasks = 64;
+    MapInput mi;
+    mi.file = input;
+    mi.map_fn = [](const Value& record, MapContext* ctx) -> Status {
+      ctx->Emit(Value::Int(record.FindField("id")->int_value() % 509),
+                Value::Int(1));
+      return Status::OK();
+    };
+    spec.inputs = {std::move(mi)};
+    spec.reduce_fn = [](const Value& key, const std::vector<Value>& values,
+                        ReduceContext* ctx) -> Status {
+      ctx->Output(MakeRow(
+          {{"k", key},
+           {"n", Value::Int(static_cast<int64_t>(values.size()))}}));
+      return Status::OK();
+    };
+    auto result = engine.Submit(spec);
+    EXPECT_TRUE(result.ok());
+    return std::move(*result);
+  };
+
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    JobResult r = run(threads);
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    EXPECT_EQ(r.output->num_records(), 509u);
+    EXPECT_EQ(r.counters.map_input_records, 24000u);
+    EXPECT_EQ(r.reduce_tasks_planned, 64);
+    EXPECT_EQ(r.speculative_launches, 34);
+    EXPECT_EQ(r.speculative_wins, 15);
+    EXPECT_EQ(r.task_retries, 128);
+    EXPECT_EQ(r.finish_time_ms, 12789);
+  }
+}
+
 }  // namespace
 }  // namespace dyno
