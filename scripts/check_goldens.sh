@@ -39,22 +39,33 @@ for golden in "${goldens[@]}"; do
   fi
 done
 
-# The corruption golden exists so the data-integrity event types stay
-# pinned in a checked-in trace: if a refactor stops emitting any of them,
-# this catches it without a build.
-corruption_golden="$golden_dir/q10_corruption.jsonl"
-if [ ! -e "$corruption_golden" ]; then
-  echo "check_goldens: missing $corruption_golden" >&2
-  echo "  regenerate with: DYNO_UPDATE_GOLDEN=1 build/tests/trace_golden_test" >&2
-  status=1
-else
-  for event in block_corruption shuffle_checksum_retry record_quarantined; do
-    if ! grep -q "\"name\":\"$event\"" "$corruption_golden"; then
-      echo "check_goldens: $corruption_golden has no '$event' event" >&2
+# Some goldens exist to keep event types pinned in a checked-in trace: if a
+# refactor stops emitting any of them, this catches it without a build.
+require_events() {
+  local golden="$golden_dir/$1"
+  shift
+  if [ ! -e "$golden" ]; then
+    echo "check_goldens: missing $golden" >&2
+    echo "  regenerate with: DYNO_UPDATE_GOLDEN=1 build/tests/trace_golden_test" >&2
+    status=1
+    return
+  fi
+  local event
+  for event in "$@"; do
+    if ! grep -q "\"name\":\"$event\"" "$golden"; then
+      echo "check_goldens: $golden has no '$event' event" >&2
       status=1
     fi
   done
-fi
+}
+
+# Data integrity: healed replica re-reads, shuffle re-fetches, quarantine.
+require_events q10_corruption.jsonl \
+  block_corruption shuffle_checksum_retry record_quarantined
+# The engine under faults: node crashes, the reduce side, spills and the
+# shuffle re-fetch after a crash invalidates map outputs.
+require_events q10_engine_faults.jsonl \
+  node_crash reduce_attempt task_spill shuffle_fetch_retry
 
 if [ "$status" -eq 0 ]; then
   echo "check_goldens: ${#goldens[@]} golden(s) match trace schema v$schema"

@@ -105,10 +105,51 @@ std::string DescribeFirstDivergence(const std::string& golden,
                    EventName(longer[n]).c_str(), longer[n].c_str());
 }
 
+/// Number of `name` events whose line contains `needle`.
+int CountEvents(const std::string& trace_jsonl, const std::string& name,
+                const std::string& needle) {
+  int count = 0;
+  for (const std::string& line : SplitLines(trace_jsonl)) {
+    if (EventName(line) == name && line.find(needle) != std::string::npos) {
+      ++count;
+    }
+  }
+  return count;
+}
+
+/// Number of reduce_attempt events that are a task's second attempt or
+/// later.
+int RetriedReduceAttempts(const std::string& trace_jsonl) {
+  int retried = 0;
+  for (const std::string& line : SplitLines(trace_jsonl)) {
+    if (EventName(line) != "reduce_attempt") continue;
+    size_t pos = line.find("\"attempt\":");
+    if (pos != std::string::npos &&
+        std::atoi(line.c_str() + pos + sizeof("\"attempt\":") - 1) > 1) {
+      ++retried;
+    }
+  }
+  return retried;
+}
+
 struct TracedRun {
   std::string trace_jsonl;
   std::string metrics_text;
   QueryRunReport report;
+};
+
+/// The fault regimes the canonical query is traced under.
+enum class Regime {
+  kClean,
+  /// Task failures, stragglers and speculation.
+  kFaults,
+  /// Block and shuffle corruption plus poison records.
+  kCorruption,
+  /// Repartition joins under task failures, stragglers, speculation, node
+  /// crashes with recovery and a spill-mode reduce memory budget: pins the
+  /// engine's reduce side under faults, node-crash invalidation and the
+  /// shuffle re-fetch after a crash.
+  kEngineFaults,
 };
 
 /// Builds a fresh cluster + TPC-H catalog, executes Q10 through the full
@@ -116,9 +157,11 @@ struct TracedRun {
 /// returns every serialized observation. `c_probe_scale` perturbs the cost
 /// model's broadcast probe constant (used to prove the harness catches
 /// cost-model drift).
-TracedRun RunCanonicalQuery(int threads, bool faults,
-                            double c_probe_scale = 1.0,
-                            bool corruption = false) {
+TracedRun RunCanonicalQuery(int threads, Regime regime,
+                            double c_probe_scale = 1.0) {
+  const bool faults = regime == Regime::kFaults;
+  const bool corruption = regime == Regime::kCorruption;
+  const bool engine_faults = regime == Regime::kEngineFaults;
   TracedRun out;
   Dfs dfs;
   Catalog catalog(&dfs);
@@ -150,6 +193,18 @@ TracedRun RunCanonicalQuery(int threads, bool faults,
     config.faults.poison_record_rate = 0.001;
     config.faults.retry_backoff_ms = 200;
   }
+  if (engine_faults) {
+    config.faults.seed = 105;
+    config.faults.task_failure_rate = 0.08;
+    config.faults.straggler_rate = 0.10;
+    config.faults.straggler_slowdown = 4.0;
+    config.faults.speculative_slowness_threshold = 1.5;
+    config.faults.retry_backoff_ms = 200;
+    config.faults.node_failure_rate = 0.04;
+    config.faults.node_recovery_ms = 5000;
+    config.reduce_memory_mode = ClusterConfig::ReduceMemoryMode::kSpill;
+    config.memory_per_task_bytes = 16 * 1024;
+  }
   MapReduceEngine engine(&dfs, config);
 
   TpchConfig tpch;
@@ -174,7 +229,7 @@ TracedRun RunCanonicalQuery(int threads, bool faults,
   // pure map-only broadcast chains — which would leave the corruption
   // regime no shuffle to corrupt. Force repartition joins there so the
   // golden pins the shuffle-checksum path too.
-  if (corruption) options.cost.enable_broadcast = false;
+  if (corruption || engine_faults) options.cost.enable_broadcast = false;
   DynoDriver driver(&engine, &catalog, &store, options);
   auto report = driver.Execute(MakeTpchQ10());
   EXPECT_TRUE(report.ok()) << report.status().ToString();
@@ -204,9 +259,9 @@ void CompareWithGolden(const std::string& golden_name,
 }
 
 TEST(TraceGoldenTest, CleanTraceBitIdenticalAcrossThreadsAndMatchesGolden) {
-  TracedRun one = RunCanonicalQuery(1, /*faults=*/false);
-  TracedRun four = RunCanonicalQuery(4, /*faults=*/false);
-  TracedRun eight = RunCanonicalQuery(8, /*faults=*/false);
+  TracedRun one = RunCanonicalQuery(1, Regime::kClean);
+  TracedRun four = RunCanonicalQuery(4, Regime::kClean);
+  TracedRun eight = RunCanonicalQuery(8, Regime::kClean);
   EXPECT_TRUE(one.trace_jsonl == four.trace_jsonl)
       << DescribeFirstDivergence(one.trace_jsonl, four.trace_jsonl);
   EXPECT_TRUE(one.trace_jsonl == eight.trace_jsonl)
@@ -217,9 +272,9 @@ TEST(TraceGoldenTest, CleanTraceBitIdenticalAcrossThreadsAndMatchesGolden) {
 }
 
 TEST(TraceGoldenTest, FaultyTraceBitIdenticalAcrossThreadsAndMatchesGolden) {
-  TracedRun one = RunCanonicalQuery(1, /*faults=*/true);
-  TracedRun four = RunCanonicalQuery(4, /*faults=*/true);
-  TracedRun eight = RunCanonicalQuery(8, /*faults=*/true);
+  TracedRun one = RunCanonicalQuery(1, Regime::kFaults);
+  TracedRun four = RunCanonicalQuery(4, Regime::kFaults);
+  TracedRun eight = RunCanonicalQuery(8, Regime::kFaults);
   EXPECT_TRUE(one.trace_jsonl == four.trace_jsonl)
       << DescribeFirstDivergence(one.trace_jsonl, four.trace_jsonl);
   EXPECT_TRUE(one.trace_jsonl == eight.trace_jsonl)
@@ -234,11 +289,11 @@ TEST(TraceGoldenTest, FaultyTraceBitIdenticalAcrossThreadsAndMatchesGolden) {
 TEST(TraceGoldenTest,
      CorruptionTraceBitIdenticalAcrossThreadsAndMatchesGolden) {
   TracedRun one =
-      RunCanonicalQuery(1, /*faults=*/false, 1.0, /*corruption=*/true);
+      RunCanonicalQuery(1, Regime::kCorruption);
   TracedRun four =
-      RunCanonicalQuery(4, /*faults=*/false, 1.0, /*corruption=*/true);
+      RunCanonicalQuery(4, Regime::kCorruption);
   TracedRun eight =
-      RunCanonicalQuery(8, /*faults=*/false, 1.0, /*corruption=*/true);
+      RunCanonicalQuery(8, Regime::kCorruption);
   EXPECT_TRUE(one.trace_jsonl == four.trace_jsonl)
       << DescribeFirstDivergence(one.trace_jsonl, four.trace_jsonl);
   EXPECT_TRUE(one.trace_jsonl == eight.trace_jsonl)
@@ -258,8 +313,35 @@ TEST(TraceGoldenTest,
   CompareWithGolden("q10_corruption.jsonl", one.trace_jsonl);
 }
 
+TEST(TraceGoldenTest,
+     EngineFaultTraceBitIdenticalAcrossThreadsAndMatchesGolden) {
+  TracedRun one = RunCanonicalQuery(1, Regime::kEngineFaults);
+  TracedRun four = RunCanonicalQuery(4, Regime::kEngineFaults);
+  TracedRun eight = RunCanonicalQuery(8, Regime::kEngineFaults);
+  EXPECT_TRUE(one.trace_jsonl == four.trace_jsonl)
+      << DescribeFirstDivergence(one.trace_jsonl, four.trace_jsonl);
+  EXPECT_TRUE(one.trace_jsonl == eight.trace_jsonl)
+      << DescribeFirstDivergence(one.trace_jsonl, eight.trace_jsonl);
+  EXPECT_EQ(one.metrics_text, four.metrics_text);
+  EXPECT_EQ(one.metrics_text, eight.metrics_text);
+  // The golden pins the reduce side under faults, node-crash invalidation
+  // and the shuffle re-fetch only if each of them genuinely fired (this
+  // also guarantees scripts/check_goldens.sh can grep the events).
+  EXPECT_GT(one.report.maps_invalidated, 0);
+  EXPECT_GT(one.report.reduce_spills, 0);
+  EXPECT_GT(RetriedReduceAttempts(one.trace_jsonl), 0);
+  EXPECT_GT(
+      CountEvents(one.trace_jsonl, "speculative_win", "\"map\":false"), 0);
+  for (const char* name :
+       {"\"name\":\"node_crash\"", "\"name\":\"task_spill\"",
+        "\"name\":\"shuffle_fetch_retry\""}) {
+    EXPECT_NE(one.trace_jsonl.find(name), std::string::npos) << name;
+  }
+  CompareWithGolden("q10_engine_faults.jsonl", one.trace_jsonl);
+}
+
 TEST(TraceGoldenTest, TraceCoversTheWholeQueryLifecycle) {
-  TracedRun run = RunCanonicalQuery(1, /*faults=*/false);
+  TracedRun run = RunCanonicalQuery(1, Regime::kClean);
   for (const char* name :
        {"\"name\":\"pilot_leaf\"", "\"name\":\"pilot_batch\"",
         "\"name\":\"optimize\"", "\"name\":\"job_submit\"",
@@ -280,9 +362,9 @@ TEST(TraceGoldenTest, CostModelPerturbationNamesFirstDivergentSpan) {
   // every broadcast join's cost, so the winner's cost must move) must fail
   // the golden comparison with a diff that names the optimizer span where
   // the costs first diverge — not merely "files differ".
-  TracedRun baseline = RunCanonicalQuery(1, /*faults=*/false);
+  TracedRun baseline = RunCanonicalQuery(1, Regime::kClean);
   TracedRun perturbed =
-      RunCanonicalQuery(1, /*faults=*/false, /*c_probe_scale=*/1.3);
+      RunCanonicalQuery(1, Regime::kClean, /*c_probe_scale=*/1.3);
   ASSERT_NE(baseline.trace_jsonl, perturbed.trace_jsonl)
       << "perturbing c_probe must alter traced optimizer costs";
   std::string diff =
@@ -300,7 +382,8 @@ TEST(TraceGoldenTest, GoldenHeadersCarryCurrentSchemaVersion) {
   std::string expected_header = StrFormat(
       "{\"schema\":%d,\"clock\":\"sim_ms\"}", obs::kTraceSchemaVersion);
   for (const char* name :
-       {"q10_clean.jsonl", "q10_faults.jsonl", "q10_corruption.jsonl"}) {
+       {"q10_clean.jsonl", "q10_faults.jsonl", "q10_corruption.jsonl",
+        "q10_engine_faults.jsonl"}) {
     std::string contents;
     ASSERT_TRUE(ReadFileToString(GoldenPath(name), &contents)) << name;
     std::vector<std::string> lines = SplitLines(contents);
