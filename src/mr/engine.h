@@ -169,6 +169,9 @@ class MapReduceEngine {
   double last_wave_pressure() const { return last_wave_pressure_; }
 
  private:
+  /// One SubmitAllDirect call's discrete-event simulation (engine.cc).
+  class WaveRun;
+
   /// Fills config.faults from DYNO_* env vars when the caller did not
   /// configure injection explicitly (FaultConfig::use_env_defaults).
   static ClusterConfig ResolveFaultEnv(ClusterConfig config);

@@ -1,6 +1,7 @@
 #ifndef DYNO_MR_SPECULATION_H_
 #define DYNO_MR_SPECULATION_H_
 
+#include <cstdint>
 #include <functional>
 #include <queue>
 #include <set>
@@ -19,6 +20,7 @@ class PhaseSpeculation {
  public:
   /// Records the duration of one completed attempt.
   void AddCompleted(SimMillis ms) {
+    ++version_;
     if (upper_.empty() || ms >= upper_.top()) {
       upper_.push(ms);
     } else {
@@ -43,6 +45,7 @@ class PhaseSpeculation {
   /// Marks whether task `task_id`'s primary attempt is in flight. This is
   /// the only record of that fact.
   void SetPrimaryInFlight(int task_id, bool in_flight) {
+    ++version_;
     if (in_flight) {
       in_flight_.insert(task_id);
     } else {
@@ -58,6 +61,23 @@ class PhaseSpeculation {
   /// order that gives the straggler scan its lowest-id tie-break.
   const std::set<int>& primaries_in_flight() const { return in_flight_; }
 
+  /// Records that a task's backup attempt launched or was killed: the
+  /// straggler test reads that too.
+  void NoteBackupChange() { ++version_; }
+
+  /// Remembers the speculation wakeup computed now (-1: none).
+  void SetWakeup(SimMillis at) {
+    wakeup_version_ = version_;
+    wakeup_ = at;
+  }
+
+  /// True when nothing the wakeup depends on changed since SetWakeup and
+  /// its answer still holds at `now`: no wakeup, or one still ahead of
+  /// `now` — which the event queue then already holds.
+  bool WakeupQueued(SimMillis now) const {
+    return wakeup_version_ == version_ && (wakeup_ < 0 || wakeup_ > now);
+  }
+
  private:
   /// The floor(n/2) smallest durations (max-heap) and the ceil(n/2) largest
   /// (min-heap); every element of lower_ is <= every element of upper_.
@@ -65,6 +85,10 @@ class PhaseSpeculation {
   std::priority_queue<SimMillis, std::vector<SimMillis>, std::greater<>>
       upper_;
   std::set<int> in_flight_;
+  /// Bumped by every change the straggler test reads.
+  uint64_t version_ = 0;
+  uint64_t wakeup_version_ = ~uint64_t{0};
+  SimMillis wakeup_ = -1;
 };
 
 }  // namespace dyno
