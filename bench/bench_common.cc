@@ -24,6 +24,10 @@ int ExecutionThreads() {
   return hw >= 1 ? static_cast<int>(hw) : 1;
 }
 
+/// Columns of the last PrintHeader, and the failed DYNO-side cells.
+std::vector<std::string> g_columns;
+std::vector<std::string> g_failed_cells;
+
 }  // namespace
 
 Scenario::~Scenario() {
@@ -216,6 +220,7 @@ Measured RunBestStatic(Scenario* scenario, const Query& query, bool hive) {
 
 void PrintHeader(const std::string& title,
                  const std::vector<std::string>& columns) {
+  g_columns = columns;
   std::printf("\n=== %s ===\n", title.c_str());
   std::printf("%-18s", "");
   for (const std::string& column : columns) {
@@ -227,9 +232,11 @@ void PrintHeader(const std::string& title,
 void PrintRow(const std::string& name, const std::vector<double>& values,
               double baseline) {
   std::printf("%-18s", name.c_str());
-  for (double value : values) {
+  for (size_t i = 0; i < values.size(); ++i) {
+    const double value = values[i];
     if (value < 0) {
       std::printf("%14s", "fail");
+      RecordFailedCell(name, i < g_columns.size() ? g_columns[i] : "?");
     } else if (baseline > 0) {
       std::printf("%13.1f%%", 100.0 * value / baseline);
     } else {
@@ -237,6 +244,18 @@ void PrintRow(const std::string& name, const std::vector<double>& values,
     }
   }
   std::printf("\n");
+}
+
+void RecordFailedCell(const std::string& row, const std::string& column) {
+  if (column == "BESTSTATIC" || column == "RELOPT") return;
+  g_failed_cells.push_back(row + "/" + column);
+}
+
+int BenchExitCode() {
+  for (const std::string& cell : g_failed_cells) {
+    std::fprintf(stderr, "DYNO-side cell failed: %s\n", cell.c_str());
+  }
+  return g_failed_cells.empty() ? 0 : 1;
 }
 
 }  // namespace dyno::bench

@@ -80,12 +80,23 @@ Measured RunBestStatic(Scenario* scenario, const Query& query,
 
 /// Prints a normalized table row: name + one column per value, normalized
 /// to `baseline` when it is > 0 (per the paper's relative-time figures).
+/// A negative value prints as `fail` and goes to RecordFailedCell under the
+/// column named by the last PrintHeader.
 void PrintRow(const std::string& name, const std::vector<double>& values,
               double baseline);
 
-/// Prints a section header.
+/// Prints a section header; its columns name the cells of the rows below.
 void PrintHeader(const std::string& title,
                  const std::vector<std::string>& columns);
+
+/// Records that the cell `row`/`column` failed. A failed DYNO-side cell (any
+/// column but the BESTSTATIC and RELOPT baselines, which have no job retry)
+/// makes BenchExitCode() return 1.
+void RecordFailedCell(const std::string& row, const std::string& column);
+
+/// The bench's exit code: 1 when a DYNO-side cell failed (each is listed on
+/// stderr), otherwise 0.
+int BenchExitCode();
 
 }  // namespace dyno::bench
 

@@ -28,6 +28,7 @@ int main() {
     Measured m = RunDynopt(scenario.get(), query);
     if (!m.ok) {
       std::printf("%-18s  FAILED: %s\n", name.c_str(), m.detail.c_str());
+      RecordFailedCell(name, "DYNOPT");
       continue;
     }
     double total = static_cast<double>(m.total_ms);
@@ -40,5 +41,5 @@ int main() {
   std::printf(
       "\npaper: re-opt <0.25%% (Q8' ~7%%), pilot 2.5-6.7%%, stats 0.1-2.8%%,"
       " total overhead 7-10%%\n");
-  return 0;
+  return BenchExitCode();
 }

@@ -47,5 +47,5 @@ int main() {
   }
   std::printf("\npaper: SIMPLE_MO <= SIMPLE_SO always; UNC-1 best for "
               "Q7/Q8'; all equal on Q10 (left-deep plan, single leaf job)\n");
-  return 0;
+  return BenchExitCode();
 }

@@ -45,5 +45,5 @@ int main() {
       "\npaper: DYNO variants <= 100%% everywhere; Q2 ~83%% (bushy); Q8' "
       "50-93%% (re-opt); Q9' 53-75%% (pilot-enabled broadcasts); Q10 "
       "~100%%\n");
-  return 0;
+  return BenchExitCode();
 }

@@ -41,5 +41,5 @@ int main() {
   }
   std::printf("\npaper: same trends as Jaql; Q9' speedup grows to ~3.98x "
               "because the DistributedCache amortizes broadcast loads\n");
-  return 0;
+  return BenchExitCode();
 }

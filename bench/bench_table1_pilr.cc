@@ -69,5 +69,5 @@ int main() {
   }
   std::printf("\naverage MT speedup over ST: %.1fx (paper: 4.6x)\n",
               mt_speedup_sum / mt_speedup_n);
-  return 0;
+  return BenchExitCode();
 }
