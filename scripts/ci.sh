@@ -34,6 +34,9 @@
 #               ladder run against the env-driven configuration path
 #   fuzz-smoke  codec + checkpoint-manifest + DFS-bit-rot + spill-run-rot
 #               fuzzing, small fixed budget
+#   fig7-stdout bench_fig7_speedup's stdout against the checked-in
+#               bench/expected/bench_fig7_speedup.txt: host-time changes
+#               must leave every simulated cell byte-identical
 #   speculation bench_fig7_speedup under 5% task failures: straggler scans
 #               and backup races over thousands of map tasks, under a 300 s
 #               hang guard (not a perf gate; ~27x the 11 s it takes on 4
@@ -116,6 +119,14 @@ run "bench: mqo cache" \
 # the selective scan at least 2x faster.
 run "bench: columnar scan" \
   env DYNO_BENCH_SCAN_OUT=build/BENCH_scan.json build/bench/bench_scan
+
+# Every simulated Fig. 7 cell, byte for byte. A change that means to move
+# a cell regenerates the file with
+#   build/bench/bench_fig7_speedup > bench/expected/bench_fig7_speedup.txt
+# and says why.
+run "bench: fig7 stdout matches bench/expected" \
+  bash -c 'set -o pipefail; build/bench/bench_fig7_speedup |
+    diff -u bench/expected/bench_fig7_speedup.txt -'
 
 # Speculation at scale: no other step runs the straggler scans over
 # thousands of tasks. The timeout is a hang guard, not a perf gate.

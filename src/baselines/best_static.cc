@@ -45,19 +45,23 @@ Result<std::unique_ptr<PlanNode>> BestStaticBaseline::BuildJaqlPlan(
   for (const LeafExpr& leaf : leaves) leaf_by_alias[leaf.alias] = &leaf;
 
   // Exact statistics for ranking; raw file sizes for Jaql's broadcast rule.
-  // Cached across calls: Run() enumerates hundreds of orders over the same
-  // leaves.
-  std::map<std::string, TableStats> exact;
+  // Memoized on the catalog: Run() enumerates hundreds of orders over the
+  // same leaves, and every baseline instance shares them. The statistics
+  // cover the leaf's join columns, so those are part of the key: two
+  // aliases of one table with one filter may join on different columns.
+  std::map<std::string, std::shared_ptr<const TableStats>> exact;
   std::map<std::string, double> file_bytes;
   for (const LeafExpr& leaf : leaves) {
-    std::string signature = LeafSignature(leaf);
-    auto cached = exact_stats_cache_.find(signature);
-    if (cached == exact_stats_cache_.end()) {
-      DYNO_ASSIGN_OR_RETURN(TableStats stats,
-                            ComputeExactLeafStats(catalog_, leaf));
-      cached = exact_stats_cache_.emplace(signature, std::move(stats)).first;
+    std::string key;  // Length-prefixed columns, then the signature.
+    for (const std::string& col : leaf.join_columns) {
+      key += std::to_string(col.size()) + ":" + col;
     }
-    exact[leaf.alias] = cached->second;
+    key += "|" + LeafSignature(leaf);
+    DYNO_ASSIGN_OR_RETURN(
+        exact[leaf.alias],
+        catalog_->MemoizedStats<TableStats>(
+            leaf.table, key,
+            [&] { return ComputeExactLeafStats(catalog_, leaf); }));
     DYNO_ASSIGN_OR_RETURN(std::shared_ptr<DfsFile> file,
                           catalog_->OpenTable(leaf.table));
     file_bytes[leaf.alias] = static_cast<double>(file->num_bytes());
@@ -65,7 +69,7 @@ Result<std::unique_ptr<PlanNode>> BestStaticBaseline::BuildJaqlPlan(
 
   auto make_leaf = [&](const std::string& alias) {
     auto node = PlanNode::Leaf(alias);
-    const TableStats& stats = exact.at(alias);
+    const TableStats& stats = *exact.at(alias);
     node->est_rows = stats.cardinality;
     node->est_bytes = stats.SizeBytes();
     return node;
@@ -74,7 +78,7 @@ Result<std::unique_ptr<PlanNode>> BestStaticBaseline::BuildJaqlPlan(
   std::set<std::string> prefix{order[0]};
   PrefixEstimate est;
   {
-    const TableStats& stats = exact.at(order[0]);
+    const TableStats& stats = *exact.at(order[0]);
     est.rows = std::max(stats.cardinality, 1.0);
     est.avg_size = std::max(stats.avg_record_size, 1.0);
     for (const auto& [col, cs] : stats.columns) {
@@ -94,7 +98,7 @@ Result<std::unique_ptr<PlanNode>> BestStaticBaseline::BuildJaqlPlan(
     // backoff as the optimizer (most selective edge fully, then sqrt...).
     std::vector<std::pair<std::string, std::string>> key_pairs;
     std::vector<double> denoms;
-    const TableStats& rstats = exact.at(alias);
+    const TableStats& rstats = *exact.at(alias);
     for (const JoinEdge& edge : block.edges) {
       if (prefix.count(edge.left_alias) && edge.right_alias == alias) {
         key_pairs.emplace_back(edge.left_column, edge.right_column);

@@ -1,7 +1,6 @@
 #ifndef DYNO_BASELINES_BEST_STATIC_H_
 #define DYNO_BASELINES_BEST_STATIC_H_
 
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -71,9 +70,6 @@ class BestStaticBaseline {
   MapReduceEngine* engine_;
   Catalog* catalog_;
   BestStaticOptions options_;
-  /// Exact leaf statistics keyed by leaf signature (Run() enumerates many
-  /// orders over the same leaves).
-  std::map<std::string, TableStats> exact_stats_cache_;
 };
 
 }  // namespace dyno

@@ -43,23 +43,47 @@ RelOptBaseline::RelOptBaseline(MapReduceEngine* engine, Catalog* catalog,
 
 Status RelOptBaseline::AnalyzeTable(const std::string& table,
                                     const std::vector<std::string>& columns) {
-  auto file = catalog_->OpenTable(table);
-  if (!file.ok()) return file.status();
-
   TableAnalysis& analysis = analyzed_[table];
-  std::map<std::string, std::vector<Value>> values;
   std::set<std::string> wanted(columns.begin(), columns.end());
   for (const auto& [col, hist] : analysis.histograms) wanted.erase(col);
   if (wanted.empty() && analysis.stats.cardinality > 0) return Status::OK();
 
+  // DBMS-X's statistics exist before any query runs (§6.1): every
+  // baseline on this catalog shares one ANALYZE per table version and
+  // column set.
+  std::string key;  // Length-prefixed names: unambiguous.
+  for (const std::string& col : wanted) {
+    key += std::to_string(col.size()) + ":" + col;
+  }
+  DYNO_ASSIGN_OR_RETURN(
+      std::shared_ptr<const TableAnalysis> computed,
+      catalog_->MemoizedStats<TableAnalysis>(
+          table, key, [&] { return ComputeAnalysis(table, wanted); }));
+  analysis.stats.cardinality = computed->stats.cardinality;
+  analysis.stats.avg_record_size = computed->stats.avg_record_size;
+  for (const auto& [col, cs] : computed->stats.columns) {
+    analysis.stats.columns[col] = cs;
+  }
+  for (const auto& [col, hist] : computed->histograms) {
+    analysis.histograms.emplace(col, hist);
+  }
+  return Status::OK();
+}
+
+Result<RelOptBaseline::TableAnalysis> RelOptBaseline::ComputeAnalysis(
+    const std::string& table, const std::set<std::string>& columns) const {
+  DYNO_ASSIGN_OR_RETURN(std::shared_ptr<DfsFile> file,
+                        catalog_->OpenTable(table));
+  TableAnalysis analysis;
+  std::map<std::string, std::vector<Value>> values;
   uint64_t records = 0;
   uint64_t bytes = 0;
-  for (const Split& split : (*file)->splits()) {
+  for (const Split& split : file->splits()) {
     DYNO_ASSIGN_OR_RETURN(std::vector<Value> rows, DecodeSplitRows(split));
     for (const Value& row : rows) {
       ++records;
       bytes += row.EncodedSize();
-      for (const std::string& col : wanted) {
+      for (const std::string& col : columns) {
         const Value* v = row.FindField(col);
         if (v != nullptr && !v->is_null()) values[col].push_back(*v);
       }
@@ -69,7 +93,7 @@ Status RelOptBaseline::AnalyzeTable(const std::string& table,
   analysis.stats.avg_record_size =
       records == 0 ? 0.0
                    : static_cast<double>(bytes) / static_cast<double>(records);
-  for (const std::string& col : wanted) {
+  for (const std::string& col : columns) {
     EquiDepthHistogram hist = EquiDepthHistogram::Build(values[col]);
     ColumnStats cs;
     cs.ndv = hist.distinct_estimate();
@@ -83,7 +107,7 @@ Status RelOptBaseline::AnalyzeTable(const std::string& table,
     analysis.stats.columns[col] = std::move(cs);
     analysis.histograms.emplace(col, std::move(hist));
   }
-  return Status::OK();
+  return analysis;
 }
 
 Status RelOptBaseline::AnalyzeForBlock(const JoinBlock& block) {

@@ -3,6 +3,7 @@
 
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -41,7 +42,10 @@ class RelOptBaseline {
 
   /// ANALYZE: collects full statistics (exact counts, NDVs, histograms) on
   /// `columns` of `table`. Client-side and unbilled — DBMS-X gathers all
-  /// needed statistics before query execution (§6.1).
+  /// needed statistics before query execution (§6.1). The scan runs once
+  /// per table version and column set on the catalog
+  /// (Catalog::MemoizedStats); this baseline then sees exactly the columns
+  /// it asked for.
   Status AnalyzeTable(const std::string& table,
                       const std::vector<std::string>& columns);
 
@@ -78,6 +82,10 @@ class RelOptBaseline {
     TableStats stats;  ///< Exact cardinality/NDV per analyzed column.
     std::map<std::string, EquiDepthHistogram> histograms;
   };
+
+  /// One full scan of `table` for `columns`: AnalyzeTable's memo miss.
+  Result<TableAnalysis> ComputeAnalysis(
+      const std::string& table, const std::set<std::string>& columns) const;
 
   MapReduceEngine* engine_;
   Catalog* catalog_;

@@ -351,28 +351,48 @@ namespace {
 
 /// Zips the column vectors back into rows. `Columns` is
 /// `const std::vector<ColumnVector>` to copy each value out, non-const to
-/// move it (std::move of a const value copies).
+/// move it (std::move of a const value copies). A row whose columns are
+/// present exactly where the previous row's were reuses its shape, so a
+/// regular batch interns one shape.
 template <typename Columns>
 std::vector<Value> AssembleRows(Columns& columns, uint64_t num_rows) {
   std::vector<Value> rows;
   rows.reserve(num_rows);
   std::vector<size_t> cursor(columns.size(), 0);
+  std::vector<bool> present(columns.size(), false);
+  const RowShape* shape = nullptr;
+  std::vector<std::string_view> names;
   for (uint64_t r = 0; r < num_rows; ++r) {
-    StructFields fields;
+    bool same_shape = shape != nullptr;
+    for (size_t c = 0; c < columns.size(); ++c) {
+      const bool here = static_cast<Presence>(columns[c].presence[r]) !=
+                        Presence::kAbsent;
+      same_shape = same_shape && here == present[c];
+      present[c] = here;
+    }
+    if (!same_shape) {
+      names.clear();
+      for (size_t c = 0; c < columns.size(); ++c) {
+        if (present[c]) names.push_back(columns[c].name);
+      }
+      shape = RowShape::Intern(names);
+    }
+    std::span<Value> values;
+    rows.push_back(Value::Struct(shape, &values));
+    Value* slot = values.data();
     for (size_t c = 0; c < columns.size(); ++c) {
       auto& col = columns[c];
       switch (static_cast<Presence>(col.presence[r])) {
         case Presence::kAbsent:
           break;
         case Presence::kNull:
-          fields.emplace_back(col.name, Value::Null());
+          ++slot;
           break;
         case Presence::kSet:
-          fields.emplace_back(col.name, std::move(col.values[cursor[c]++]));
+          *slot++ = std::move(col.values[cursor[c]++]);
           break;
       }
     }
-    rows.push_back(Value::Struct(std::move(fields)));
   }
   return rows;
 }

@@ -19,67 +19,72 @@ void ZoneMapBuilder::Observe(const Value& row) {
     map_.zones_.clear();
     return;
   }
-  for (const auto& [name, field] : row.fields()) {
-    ColumnZone* zone = nullptr;
-    bool duplicate = false;
-    for (ColumnZone& z : map_.zones_) {
-      if (z.name == name) {
-        zone = &z;
-        break;
-      }
-    }
-    // Only the first occurrence of a name counts (FindField semantics).
-    // Linear scans are fine at kMaxColumns scale.
-    if (zone != nullptr) {
-      const StructFields& fields = row.fields();
-      for (const auto& [prior_name, prior_field] : fields) {
-        if (&prior_field == &field) break;
-        if (prior_name == name) {
-          duplicate = true;
-          break;
-        }
-      }
-    }
-    if (duplicate) continue;
-    if (zone == nullptr) {
-      if (map_.zones_.size() >= ZoneMap::kMaxColumns) {
-        map_.trackable_ = false;
-        map_.zones_.clear();
-        return;
-      }
-      map_.zones_.push_back(ColumnZone{});
-      zone = &map_.zones_.back();
-      zone->name = name;
-      // The column was absent in every earlier row of the split.
-      zone->has_null_or_absent = map_.num_rows_ > 1;
-    }
+  if (&row.shape() != shape_ && !ResolveShape(row.shape())) return;
+  std::span<const Value> values = row.field_values();
+  for (size_t slot = 0; slot < values.size(); ++slot) {
+    if (zone_of_slot_[slot] < 0) continue;
+    ColumnZone& zone = map_.zones_[zone_of_slot_[slot]];
+    const Value& field = values[slot];
     if (field.is_null()) {
-      zone->has_null_or_absent = true;
+      zone.has_null_or_absent = true;
     } else {
-      if (zone->non_null_rows == 0) {
-        zone->min_value = field;
-        zone->max_value = field;
+      if (zone.non_null_rows == 0) {
+        zone.min_value = field;
+        zone.max_value = field;
       } else {
-        if (field.Compare(zone->min_value) < 0) zone->min_value = field;
-        if (field.Compare(zone->max_value) > 0) zone->max_value = field;
+        if (field.Compare(zone.min_value) < 0) zone.min_value = field;
+        if (field.Compare(zone.max_value) > 0) zone.max_value = field;
       }
-      ++zone->non_null_rows;
+      ++zone.non_null_rows;
     }
   }
   // Columns this row does not mention evaluate to null in it.
-  for (ColumnZone& zone : map_.zones_) {
-    if (zone.has_null_or_absent) continue;
-    if (row.FindField(zone.name) == nullptr) zone.has_null_or_absent = true;
+  for (size_t z : absent_zones_) map_.zones_[z].has_null_or_absent = true;
+}
+
+bool ZoneMapBuilder::ResolveShape(const RowShape& shape) {
+  shape_ = &shape;
+  zone_of_slot_.assign(shape.size(), -1);
+  std::vector<bool> present(map_.zones_.size(), false);
+  for (size_t slot = 0; slot < shape.size(); ++slot) {
+    const std::string& name = shape.name(slot);
+    if (shape.Find(name) != static_cast<int>(slot)) continue;
+    // Linear scans are fine at kMaxColumns scale.
+    size_t z = 0;
+    while (z < map_.zones_.size() && map_.zones_[z].name != name) ++z;
+    if (z == map_.zones_.size()) {
+      if (map_.zones_.size() >= ZoneMap::kMaxColumns) {
+        map_.trackable_ = false;
+        map_.zones_.clear();
+        shape_ = nullptr;
+        return false;
+      }
+      map_.zones_.push_back(ColumnZone{});
+      map_.zones_.back().name = name;
+      // The column was absent in every earlier row of the split.
+      map_.zones_.back().has_null_or_absent = map_.num_rows_ > 1;
+      present.push_back(false);
+    }
+    zone_of_slot_[slot] = static_cast<int>(z);
+    present[z] = true;
   }
+  absent_zones_.clear();
+  for (size_t z = 0; z < present.size(); ++z) {
+    if (!present[z]) absent_zones_.push_back(z);
+  }
+  return true;
 }
 
 ZoneMap ZoneMapBuilder::Build() {
   ZoneMap out = std::move(map_);
-  map_ = ZoneMap{};
+  Reset();
   return out;
 }
 
-void ZoneMapBuilder::Reset() { map_ = ZoneMap{}; }
+void ZoneMapBuilder::Reset() {
+  map_ = ZoneMap{};
+  shape_ = nullptr;
+}
 
 namespace {
 

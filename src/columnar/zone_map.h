@@ -57,7 +57,18 @@ class ZoneMapBuilder {
   void Reset();
 
  private:
+  /// Maps `shape`'s slots to zones, adding zones for new names. Returns
+  /// false when that passes kMaxColumns (tracking is then off).
+  bool ResolveShape(const RowShape& shape);
+
   ZoneMap map_;
+  /// The shape of the last row and, per slot, its zone index (-1 for a
+  /// repeated name: only the first occurrence counts, as in FindField),
+  /// plus the zones its rows lack. Rows of one shape skip every name
+  /// lookup.
+  const RowShape* shape_ = nullptr;
+  std::vector<int> zone_of_slot_;
+  std::vector<size_t> absent_zones_;
 };
 
 /// Conservative split-pruning test: false only when NO row of a split

@@ -208,7 +208,7 @@ Result<JobResult> RunGroupBy(MapReduceEngine* engine,
   job.output_path = output_path;
   MapInput map_input;
   map_input.file = std::move(input);
-  std::vector<std::string> keys = spec.keys;
+  const KeyColumns keys(spec.keys);
   GroupBySpec spec_copy = spec;
 
   if (use_combiner) {
@@ -225,8 +225,8 @@ Result<JobResult> RunGroupBy(MapReduceEngine* engine,
     auto per_task = std::make_shared<PerTask>();
     map_input.map_fn = [keys, spec_copy, per_task](
                            const Value& record, MapContext* ctx) -> Status {
-      Value key = JoinKeyValue(record, keys);
-      std::string encoded = EncodeJoinKey(record, keys);
+      Value key = keys.AsValue(record);
+      std::string encoded = keys.Encode(record);
       Groups* groups = nullptr;
       {
         std::lock_guard<std::mutex> lock(per_task->mu);
@@ -263,7 +263,7 @@ Result<JobResult> RunGroupBy(MapReduceEngine* engine,
     };
   } else {
     map_input.map_fn = [keys](const Value& record, MapContext* ctx) -> Status {
-      ctx->Emit(JoinKeyValue(record, keys), record);
+      ctx->Emit(keys.AsValue(record), record);
       return Status::OK();
     };
     job.reduce_fn = [spec_copy](const Value& key,

@@ -10,6 +10,7 @@ Result<std::shared_ptr<BroadcastTable>> BuildBroadcastTable(
     const DfsFile& file, const ExprPtr& filter,
     const std::vector<std::string>& key_columns, uint64_t* splits_pruned) {
   auto table = std::make_shared<BroadcastTable>();
+  const KeyColumns keys(key_columns);
   std::vector<size_t> split_indexes;
   if (splits_pruned != nullptr) {
     PruneResult pruned = PruneSplitIndexes(file, filter);
@@ -32,7 +33,7 @@ Result<std::shared_ptr<BroadcastTable>> BuildBroadcastTable(
       Value& row = rows[i];
       table->built_bytes += row.EncodedSize();
       ++table->num_rows;
-      table->rows_by_key[EncodeJoinKey(row, key_columns)].push_back(
+      table->rows_by_key[keys.Encode(row)].push_back(
           std::move(row));
     }
   }

@@ -52,6 +52,41 @@ void RecordSplitsPruned(MapReduceEngine* engine, const std::string& path,
   }
 }
 
+/// One build side of a broadcast chain, as the probe map function sees it.
+struct ChainStage {
+  std::shared_ptr<BroadcastTable> table;
+  KeyColumns probe_keys;
+  ExprPtr post_filter;
+  double post_cpu = 0.0;
+};
+
+/// Depth-first probe of `row` through `stages[stage_idx..]`: every build
+/// row under the row's key is merged in and probed into the next stage;
+/// a row past the last stage is projected and output.
+Status ProbeChain(const std::vector<ChainStage>& stages, size_t stage_idx,
+                  const std::vector<std::string>& projection,
+                  const Value& row, MapContext* ctx) {
+  if (stage_idx == stages.size()) {
+    ctx->Output(projection.empty() ? row : ProjectRow(row, projection));
+    return Status::OK();
+  }
+  const ChainStage& stage = stages[stage_idx];
+  auto it = stage.table->rows_by_key.find(stage.probe_keys.Encode(row));
+  if (it == stage.table->rows_by_key.end()) return Status::OK();
+  for (const Value& build_row : it->second) {
+    Value merged = MergeRows(row, build_row);
+    ctx->ChargeCpu(2.0);
+    if (stage.post_filter != nullptr) {
+      ctx->ChargeCpu(stage.post_cpu);
+      DYNO_ASSIGN_OR_RETURN(bool pass, EvalFilter(stage.post_filter, merged));
+      if (!pass) continue;
+    }
+    DYNO_RETURN_IF_ERROR(
+        ProbeChain(stages, stage_idx + 1, projection, merged, ctx));
+  }
+  return Status::OK();
+}
+
 // Globally unique unit uids, so outputs of units from different
 // decompositions never collide in one executor's bookkeeping.
 std::atomic<int64_t> g_unit_uid{0};
@@ -334,15 +369,20 @@ Result<std::vector<StepResult>> PlanExecutor::Execute(
       DYNO_ASSIGN_OR_RETURN(RelationBinding right, GetBinding(right_id));
 
       auto make_tagged_map = [](ExprPtr filter,
-                                std::vector<std::string> key_cols,
+                                const std::vector<std::string>& key_names,
                                 int64_t tag) -> MapFn {
-        return [filter = std::move(filter), key_cols = std::move(key_cols),
+        static const std::string_view kTaggedNames[] = {"__t", "__r"};
+        const RowShape* tagged_shape = RowShape::Intern(kTaggedNames);
+        return [filter = std::move(filter), key_cols = KeyColumns(key_names),
+                tagged_shape,
                 tag](const Value& record, MapContext* ctx) -> Status {
           DYNO_ASSIGN_OR_RETURN(bool keep, EvalFilter(filter, record));
           if (!keep) return Status::OK();
-          Value key = JoinKeyValue(record, key_cols);
-          Value tagged = Value::Struct(
-              {{"__t", Value::Int(tag)}, {"__r", record}});
+          Value key = key_cols.AsValue(record);
+          std::span<Value> slots;
+          Value tagged = Value::Struct(tagged_shape, &slots);
+          slots[0] = Value::Int(tag);
+          slots[1] = record;
           ctx->Emit(std::move(key), std::move(tagged));
           return Status::OK();
         };
@@ -398,13 +438,7 @@ Result<std::vector<StepResult>> PlanExecutor::Execute(
                             ResolveInput(unit.inputs[0]));
       DYNO_ASSIGN_OR_RETURN(RelationBinding probe, GetBinding(probe_id));
 
-      struct Stage {
-        std::shared_ptr<BroadcastTable> table;
-        std::vector<std::string> probe_key_cols;
-        ExprPtr post_filter;
-        double post_cpu = 0.0;
-      };
-      auto stages = std::make_shared<std::vector<Stage>>();
+      auto stages = std::make_shared<std::vector<ChainStage>>();
       uint64_t side_load = 0;
       uint64_t side_memory = 0;
       // Waves the probe scan will run: in Jaql mode every task of every
@@ -462,12 +496,11 @@ Result<std::vector<StepResult>> PlanExecutor::Execute(
         }
         side_load += table->load_bytes;
         side_memory += table->built_bytes;
-        Stage stage;
-        stage.table = std::move(table);
-        stage.probe_key_cols = LeftKeyColumns(n);
-        stage.post_filter = n.post_filter;
-        stage.post_cpu = n.post_filter ? n.post_filter->CpuCost() : 0.0;
-        stages->push_back(std::move(stage));
+        stages->push_back(ChainStage{
+            .table = std::move(table),
+            .probe_keys = KeyColumns(LeftKeyColumns(n)),
+            .post_filter = n.post_filter,
+            .post_cpu = n.post_filter ? n.post_filter->CpuCost() : 0.0});
       }
       p.spec.side_load_bytes = side_load;
       p.spec.side_memory_bytes = side_memory;
@@ -481,32 +514,7 @@ Result<std::vector<StepResult>> PlanExecutor::Execute(
                                MapContext* ctx) -> Status {
         DYNO_ASSIGN_OR_RETURN(bool keep, EvalFilter(scan_filter, record));
         if (!keep) return Status::OK();
-        // Depth-first probe through the chain.
-        std::function<Status(const Value&, size_t)> probe_stage =
-            [&](const Value& row, size_t stage_idx) -> Status {
-          if (stage_idx == stages->size()) {
-            ctx->Output(projection.empty() ? row
-                                           : ProjectRow(row, projection));
-            return Status::OK();
-          }
-          const Stage& stage = (*stages)[stage_idx];
-          auto it = stage.table->rows_by_key.find(
-              EncodeJoinKey(row, stage.probe_key_cols));
-          if (it == stage.table->rows_by_key.end()) return Status::OK();
-          for (const Value& build_row : it->second) {
-            Value merged = MergeRows(row, build_row);
-            ctx->ChargeCpu(2.0);
-            if (stage.post_filter != nullptr) {
-              ctx->ChargeCpu(stage.post_cpu);
-              DYNO_ASSIGN_OR_RETURN(bool pass,
-                                    EvalFilter(stage.post_filter, merged));
-              if (!pass) continue;
-            }
-            DYNO_RETURN_IF_ERROR(probe_stage(merged, stage_idx + 1));
-          }
-          return Status::OK();
-        };
-        return probe_stage(record, 0);
+        return ProbeChain(*stages, 0, projection, record, ctx);
       };
       p.spec.inputs = {std::move(probe_input)};
     }

@@ -26,15 +26,33 @@ Result<std::vector<uint8_t>> FilterKeepMask(const ExprPtr& filter,
 /// Extracts the join key of `row` over `columns` as an encoded string
 /// (usable as a hash map key without collision concerns). Missing columns
 /// contribute nulls.
-std::string EncodeJoinKey(const Value& row, const std::vector<std::string>& columns);
+std::string EncodeJoinKey(const Value& row,
+                          const std::vector<std::string>& columns);
 
-/// Join key as a Value (an array), used as the shuffle key of repartition
-/// joins so the simulator sorts/groups on it.
-Value JoinKeyValue(const Value& row, const std::vector<std::string>& columns);
+/// Join or group-by key columns for callers that key row after row: each
+/// column's slot is resolved once per row shape (FieldRef). Safe to share
+/// between threads.
+class KeyColumns {
+ public:
+  explicit KeyColumns(const std::vector<std::string>& names)
+      : columns_(names.begin(), names.end()) {}
+
+  /// EncodeJoinKey(row, names).
+  std::string Encode(const Value& row) const;
+
+  /// The key as a Value (an array), used as the shuffle key of repartition
+  /// joins and group-bys so the simulator sorts/groups on it.
+  Value AsValue(const Value& row) const;
+
+ private:
+  std::vector<FieldRef> columns_;
+};
 
 /// Concatenates the fields of two joined rows. Column names are unique
 /// across a query's tables (TPC-H prefixes), so the merge is a plain append;
-/// on a (pathological) duplicate the left side wins.
+/// on a (pathological) duplicate the left side wins, and a name repeated on
+/// the right is kept once. The merged shape is worked out once per pair of
+/// input shapes (per thread), so a join pays for its values only.
 Value MergeRows(const Value& left, const Value& right);
 
 /// Projects `row` onto `columns` (order preserved, missing columns dropped).

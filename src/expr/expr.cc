@@ -29,15 +29,18 @@ class LiteralExpr : public Expr {
 class PathExpr : public Expr {
  public:
   explicit PathExpr(std::vector<PathStep> steps)
-      : Expr(Kind::kPath), steps_(std::move(steps)) {}
+      : Expr(Kind::kPath), steps_(std::move(steps)) {
+    fields_.reserve(steps_.size());
+    for (const PathStep& step : steps_) fields_.emplace_back(step.field);
+  }
 
   Result<Value> Eval(const Value& row) const override {
     const Value* cur = &row;
-    for (const PathStep& step : steps_) {
-      if (step.kind == PathStep::Kind::kField) {
-        cur = cur->FindField(step.field);
+    for (size_t i = 0; i < steps_.size(); ++i) {
+      if (steps_[i].kind == PathStep::Kind::kField) {
+        cur = fields_[i].Find(*cur);
       } else {
-        cur = cur->FindElement(step.index);
+        cur = cur->FindElement(steps_[i].index);
       }
       if (cur == nullptr) return Value::Null();
     }
@@ -80,6 +83,8 @@ class PathExpr : public Expr {
 
  private:
   std::vector<PathStep> steps_;
+  /// One slot memo per step (unused on index steps).
+  std::vector<FieldRef> fields_;
 };
 
 Expr::CompareOp MirrorCompareOp(Expr::CompareOp op) {

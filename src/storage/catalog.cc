@@ -22,6 +22,10 @@ Status Catalog::ReplaceTable(const std::string& name,
   }
   tables_.insert_or_assign(name, TableEntry{name, dfs_path});
   ++replace_epochs_[name];
+  std::lock_guard<std::mutex> lock(memo_mu_);
+  std::erase_if(memo_, [&name](const auto& entry) {
+    return std::get<0>(entry.first) == name;
+  });
   return Status::OK();
 }
 
@@ -67,6 +71,25 @@ uint64_t Catalog::TableVersion(const std::string& name) const {
   // Reserve 0 for "unknown table" even in the astronomically unlikely event
   // the hash lands there.
   return v == 0 ? 1 : v;
+}
+
+std::shared_ptr<const void> Catalog::FindMemo(const MemoKey& key,
+                                              uint64_t version) const {
+  std::lock_guard<std::mutex> lock(memo_mu_);
+  auto it = memo_.find(key);
+  if (it == memo_.end() || it->second.version != version) return nullptr;
+  return it->second.value;
+}
+
+size_t Catalog::memoized_stats_size() const {
+  std::lock_guard<std::mutex> lock(memo_mu_);
+  return memo_.size();
+}
+
+void Catalog::StoreMemo(MemoKey key, uint64_t version,
+                        std::shared_ptr<const void> value) {
+  std::lock_guard<std::mutex> lock(memo_mu_);
+  memo_.insert_or_assign(std::move(key), MemoEntry{version, std::move(value)});
 }
 
 std::vector<std::string> Catalog::TableNames() const {

@@ -3,7 +3,11 @@
 
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <tuple>
+#include <typeindex>
+#include <typeinfo>
 #include <vector>
 
 #include "common/status.h"
@@ -60,11 +64,56 @@ class Catalog {
 
   Dfs* dfs() const { return dfs_; }
 
+  /// Statistics computed once per table version and shared by every
+  /// caller on this catalog: returns the entry stored under (`table`, its
+  /// current TableVersion, `key`), or runs `compute` (a callable returning
+  /// `Result<T>`) and stores its result. `key` must determine the statistic
+  /// given the table's data (analyzed columns, filter, join columns); `T`
+  /// keeps callers' key spaces apart. An entry of an older version is never
+  /// returned: ReplaceTable drops the table's entries, and a lookup that
+  /// meets an older version recomputes and overwrites it. Entries live as
+  /// long as the catalog. A failed `compute` stores nothing.
+  template <typename T, typename Compute>
+  Result<std::shared_ptr<const T>> MemoizedStats(const std::string& table,
+                                                 const std::string& key,
+                                                 Compute&& compute);
+
+  /// Number of memoized statistics, for tests.
+  size_t memoized_stats_size() const;
+
  private:
+  using MemoKey = std::tuple<std::string, std::type_index, std::string>;
+  struct MemoEntry {
+    uint64_t version = 0;
+    std::shared_ptr<const void> value;
+  };
+
+  std::shared_ptr<const void> FindMemo(const MemoKey& key,
+                                       uint64_t version) const;
+  void StoreMemo(MemoKey key, uint64_t version,
+                 std::shared_ptr<const void> value);
+
   Dfs* dfs_;
   std::map<std::string, TableEntry> tables_;
   std::map<std::string, uint64_t> replace_epochs_;
+  mutable std::mutex memo_mu_;
+  std::map<MemoKey, MemoEntry> memo_;
 };
+
+template <typename T, typename Compute>
+Result<std::shared_ptr<const T>> Catalog::MemoizedStats(
+    const std::string& table, const std::string& key, Compute&& compute) {
+  const uint64_t version = TableVersion(table);
+  MemoKey memo_key(table, std::type_index(typeid(T)), key);
+  if (std::shared_ptr<const void> hit = FindMemo(memo_key, version)) {
+    return std::static_pointer_cast<const T>(std::move(hit));
+  }
+  // Computed outside the lock: a statistic may scan a whole table.
+  DYNO_ASSIGN_OR_RETURN(T value, compute());
+  auto stored = std::make_shared<const T>(std::move(value));
+  if (version != 0) StoreMemo(std::move(memo_key), version, stored);
+  return stored;
+}
 
 }  // namespace dyno
 

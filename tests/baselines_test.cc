@@ -184,5 +184,121 @@ TEST_F(BaselinesTest, BestStaticEnumerationDedupesPlans) {
       << "dedup must collapse equivalent orders";
 }
 
+// --- Statistics memoized on the catalog, once per table version. ---
+
+/// Flips one byte of a table's first split without changing its version,
+/// so any read of the table that is not served from the memo is DataLoss.
+void RotFirstSplit(Catalog* catalog, const std::string& table) {
+  auto file = catalog->OpenTable(table);
+  ASSERT_TRUE(file.ok());
+  ASSERT_TRUE((*file)->CorruptByteForTesting(0, 0, 0x40).ok());
+}
+
+TEST_F(BaselinesTest, TwoRelOptBaselinesOnOneCatalogScanTheTableOnce) {
+  RelOptBaseline first(&engine_, &catalog_, Cost());
+  ASSERT_TRUE(first.AnalyzeTable("orders", {"o_custkey", "o_orderdate"}).ok());
+  const uint64_t version = catalog_.TableVersion("orders");
+  RotFirstSplit(&catalog_, "orders");
+  ASSERT_EQ(catalog_.TableVersion("orders"), version);
+
+  // The same columns, in another order: served without reading a byte.
+  RelOptBaseline second(&engine_, &catalog_, Cost());
+  ASSERT_TRUE(second.AnalyzeTable("orders", {"o_orderdate", "o_custkey"}).ok());
+  LeafExpr leaf;
+  leaf.alias = "o";
+  leaf.table = "orders";
+  leaf.filter = Ge(Col("o_orderdate"), LitInt(19950101));
+  leaf.join_columns = {"o_custkey"};
+  auto a = first.EstimateLeaf(leaf);
+  auto b = second.EstimateLeaf(leaf);
+  ASSERT_TRUE(a.ok() && b.ok());
+  EXPECT_DOUBLE_EQ(a->cardinality, b->cardinality);
+  EXPECT_DOUBLE_EQ(a->ColumnNdv("o_custkey"), b->ColumnNdv("o_custkey"));
+
+  // Another column set is another statistic: it has to scan, and the
+  // rotted split says so.
+  RelOptBaseline third(&engine_, &catalog_, Cost());
+  Status scan = third.AnalyzeTable("orders", {"o_clerk_group"});
+  EXPECT_EQ(scan.code(), StatusCode::kDataLoss) << scan.ToString();
+}
+
+TEST_F(BaselinesTest, RelOptEstimateSeesOnlyTheColumnsItAnalyzed) {
+  RelOptBaseline narrow(&engine_, &catalog_, Cost());
+  RelOptBaseline wide(&engine_, &catalog_, Cost());
+  ASSERT_TRUE(wide.AnalyzeTable("orders", {"o_custkey", "o_orderdate"}).ok());
+  ASSERT_TRUE(narrow.AnalyzeTable("orders", {"o_custkey"}).ok());
+  LeafExpr leaf;
+  leaf.alias = "o";
+  leaf.table = "orders";
+  leaf.filter = Ge(Col("o_orderdate"), LitInt(19950101));
+  leaf.join_columns = {"o_custkey"};
+  auto n = narrow.EstimateLeaf(leaf);
+  auto w = wide.EstimateLeaf(leaf);
+  ASSERT_TRUE(n.ok() && w.ok());
+  EXPECT_EQ(n->columns.count("o_orderdate"), 0u);
+  EXPECT_EQ(w->columns.count("o_orderdate"), 1u);
+  EXPECT_EQ(n->columns.count("o_custkey"), 1u);
+  // Without a histogram on the filter column, `narrow` falls back to the
+  // default selectivity; `wide` uses its histogram.
+  auto file = catalog_.OpenTable("orders");
+  ASSERT_TRUE(file.ok());
+  const double rows = static_cast<double>((*file)->num_records());
+  EXPECT_NEAR(n->cardinality, rows / 3.0, 1.0);
+  EXPECT_NE(n->cardinality, w->cardinality);
+}
+
+TEST_F(BaselinesTest, ReplaceTableRecomputesAndDropsStaleStatistics) {
+  RelOptBaseline before(&engine_, &catalog_, Cost());
+  ASSERT_TRUE(before.AnalyzeTable("region", {"r_regionkey"}).ok());
+  const size_t entries = catalog_.memoized_stats_size();
+  EXPECT_GE(entries, 1u);
+
+  auto file = catalog_.OpenTable("region");
+  ASSERT_TRUE(file.ok());
+  auto rows = ReadAllRows(**file);
+  ASSERT_TRUE(rows.ok());
+  ASSERT_GT(rows->size(), 2u);
+  std::vector<Value> fewer(rows->begin(), rows->begin() + 2);
+  ASSERT_TRUE(WriteRows(&dfs_, "/tables/region_v2", fewer).ok());
+  ASSERT_TRUE(catalog_.ReplaceTable("region", "/tables/region_v2").ok());
+  EXPECT_EQ(catalog_.memoized_stats_size(), entries - 1);
+
+  RelOptBaseline after(&engine_, &catalog_, Cost());
+  ASSERT_TRUE(after.AnalyzeTable("region", {"r_regionkey"}).ok());
+  LeafExpr leaf;
+  leaf.alias = "r";
+  leaf.table = "region";
+  leaf.join_columns = {"r_regionkey"};
+  auto old_est = before.EstimateLeaf(leaf);
+  auto new_est = after.EstimateLeaf(leaf);
+  ASSERT_TRUE(old_est.ok() && new_est.ok());
+  EXPECT_DOUBLE_EQ(old_est->cardinality, static_cast<double>(rows->size()));
+  EXPECT_DOUBLE_EQ(new_est->cardinality, 2.0);
+  EXPECT_EQ(catalog_.memoized_stats_size(), entries);
+}
+
+TEST_F(BaselinesTest, BestStaticSelfJoinKeepsEachAliasJoinColumns) {
+  // Two aliases of one table with one (empty) filter, joined on different
+  // columns: k1 has 5 distinct values, k2 has 10.
+  std::vector<Value> rows;
+  for (int64_t i = 0; i < 100; ++i) {
+    rows.push_back(MakeRow({{"id", Value::Int(i)},
+                            {"k1", Value::Int(i % 5)},
+                            {"k2", Value::Int(i % 10)}}));
+  }
+  ASSERT_TRUE(catalog_.CreateTable("pairs", rows).ok());
+  JoinBlock block;
+  block.tables = {{"pairs", "a"}, {"pairs", "b"}};
+  block.edges = {{"a", "k1", "b", "k2"}};
+  BestStaticOptions options;
+  options.cost = Cost();
+  BestStaticBaseline baseline(&engine_, &catalog_, options);
+  auto plan = baseline.BuildJaqlPlan(block, {"a", "b"});
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  // 100 * 100 / max(ndv(a.k1) = 5, ndv(b.k2) = 10). With b reading a's
+  // statistics, ndv(b.k2) fell back to b's cardinality: 100 * 100 / 100.
+  EXPECT_DOUBLE_EQ((*plan)->est_rows, 1000.0);
+}
+
 }  // namespace
 }  // namespace dyno

@@ -15,6 +15,7 @@
 #include "json/value.h"
 #include "mr/engine.h"
 #include "storage/dfs.h"
+#include "test_util.h"
 
 namespace dyno {
 namespace {
@@ -129,6 +130,50 @@ TEST_P(CodecFuzzTest, GarbageBytesNeverCrashDecoder) {
     auto decoded = Value::Decode(garbage, &offset);
     if (decoded.ok()) {
       EXPECT_LE(offset, garbage.size());
+    }
+  }
+}
+
+/// A struct row whose names come from a small pool, so the rows of one
+/// split repeat, reorder and duplicate names (and nest them): the decoder's
+/// shape reuse and its fallback both run.
+Value RandomPoolRow(Rng* rng, int depth) {
+  static const char* const kPool[] = {"id", "name", "price", "id2", "x"};
+  StructFields fields;
+  for (uint64_t n = rng->Uniform(depth == 0 ? 6 : 3); n > 0; --n) {
+    const char* name = kPool[rng->Uniform(5)];
+    Value value = depth < 2 && rng->Bernoulli(0.15)
+                      ? RandomPoolRow(rng, depth + 1)
+                      : RandomValue(rng, 3);
+    fields.emplace_back(name, std::move(value));
+  }
+  return Value::Struct(std::move(fields));
+}
+
+TEST_P(CodecFuzzTest, IrregularShapesMatchReferenceThroughSplits) {
+  Rng rng(GetParam() * 7919 + 3);
+  std::vector<Value> rows;
+  for (int i = FuzzIters(300); i > 0; --i) {
+    rows.push_back(RandomPoolRow(&rng, 0));
+  }
+  for (SplitFormat format : {SplitFormat::kRow, SplitFormat::kColumnar}) {
+    Dfs dfs;
+    auto file = WriteRows(&dfs, "/shapes", rows, /*target_split_bytes=*/512,
+                          format);
+    ASSERT_TRUE(file.ok());
+    auto read = ReadAllRows(**file);
+    ASSERT_TRUE(read.ok()) << read.status().ToString();
+    ASSERT_EQ(read->size(), rows.size());
+    for (size_t i = 0; i < rows.size(); ++i) {
+      const Value& row = (*read)[i];
+      std::string bytes;
+      row.EncodeTo(&bytes);
+      ASSERT_EQ(bytes, legacy::Encode(rows[i])) << rows[i].ToString();
+      EXPECT_EQ(row.EncodedSize(), legacy::EncodedSize(rows[i]));
+      EXPECT_EQ(row.Hash(), legacy::Hash(rows[i]));
+      EXPECT_EQ(row.ToString(), legacy::ToString(rows[i]));
+      EXPECT_EQ(legacy::Compare(row, rows[i]), 0);
+      EXPECT_EQ(row.FindField("id"), legacy::FindField(row, "id"));
     }
   }
 }

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/hash.h"
+
 namespace dyno {
 
 namespace {
@@ -148,5 +150,158 @@ std::vector<Value> MustReadAll(const DfsFile& file) {
   EXPECT_TRUE(rows.ok()) << rows.status().ToString();
   return rows.ok() ? std::move(rows).value() : std::vector<Value>{};
 }
+
+namespace legacy {
+
+namespace {
+
+void EncodeVarint(uint64_t v, std::string* out) {
+  while (v >= 0x80) {
+    out->push_back(static_cast<char>((v & 0x7f) | 0x80));
+    v >>= 7;
+  }
+  out->push_back(static_cast<char>(v));
+}
+
+size_t VarintSize(uint64_t v) {
+  size_t n = 1;
+  while (v >= 0x80) {
+    v >>= 7;
+    ++n;
+  }
+  return n;
+}
+
+void EncodeTo(const Value& v, std::string* out) {
+  switch (v.type()) {
+    case Value::Type::kArray:
+      out->push_back(static_cast<char>(v.type()));
+      EncodeVarint(v.array().size(), out);
+      for (const Value& e : v.array()) EncodeTo(e, out);
+      return;
+    case Value::Type::kStruct:
+      out->push_back(static_cast<char>(v.type()));
+      EncodeVarint(v.fields().size(), out);
+      for (const auto& [name, value] : v.fields()) {
+        EncodeVarint(name.size(), out);
+        out->append(name);
+        EncodeTo(value, out);
+      }
+      return;
+    default:
+      v.EncodeTo(out);
+  }
+}
+
+}  // namespace
+
+std::string Encode(const Value& v) {
+  std::string out;
+  EncodeTo(v, &out);
+  return out;
+}
+
+size_t EncodedSize(const Value& v) {
+  switch (v.type()) {
+    case Value::Type::kArray: {
+      size_t n = 1 + VarintSize(v.array().size());
+      for (const Value& e : v.array()) n += EncodedSize(e);
+      return n;
+    }
+    case Value::Type::kStruct: {
+      size_t n = 1 + VarintSize(v.fields().size());
+      for (const auto& [name, value] : v.fields()) {
+        n += VarintSize(name.size()) + name.size() + EncodedSize(value);
+      }
+      return n;
+    }
+    default:
+      return v.EncodedSize();
+  }
+}
+
+uint64_t Hash(const Value& v) {
+  switch (v.type()) {
+    case Value::Type::kArray: {
+      uint64_t h = 0x617272ULL;
+      for (const Value& e : v.array()) h = HashCombine(h, Hash(e));
+      return h;
+    }
+    case Value::Type::kStruct: {
+      uint64_t h = 0x6f626aULL;
+      for (const auto& [name, value] : v.fields()) {
+        h = HashCombine(h, HashBytes(name, 0));
+        h = HashCombine(h, Hash(value));
+      }
+      return h;
+    }
+    default:
+      return v.Hash();
+  }
+}
+
+int Compare(const Value& a, const Value& b) {
+  if (a.type() != b.type() || (a.type() != Value::Type::kArray &&
+                               a.type() != Value::Type::kStruct)) {
+    return a.Compare(b);
+  }
+  if (a.type() == Value::Type::kArray) {
+    const ArrayElements& x = a.array();
+    const ArrayElements& y = b.array();
+    size_t n = std::min(x.size(), y.size());
+    for (size_t i = 0; i < n; ++i) {
+      int c = Compare(x[i], y[i]);
+      if (c != 0) return c;
+    }
+    if (x.size() != y.size()) return x.size() < y.size() ? -1 : 1;
+    return 0;
+  }
+  StructFields x = a.fields();
+  StructFields y = b.fields();
+  size_t n = std::min(x.size(), y.size());
+  for (size_t i = 0; i < n; ++i) {
+    int c = x[i].first.compare(y[i].first);
+    if (c != 0) return c < 0 ? -1 : 1;
+    c = Compare(x[i].second, y[i].second);
+    if (c != 0) return c;
+  }
+  if (x.size() != y.size()) return x.size() < y.size() ? -1 : 1;
+  return 0;
+}
+
+std::string ToString(const Value& v) {
+  switch (v.type()) {
+    case Value::Type::kArray: {
+      std::string out = "[";
+      const ArrayElements& elems = v.array();
+      for (size_t i = 0; i < elems.size(); ++i) {
+        if (i > 0) out += ", ";
+        out += ToString(elems[i]);
+      }
+      return out + "]";
+    }
+    case Value::Type::kStruct: {
+      std::string out = "{";
+      StructFields flds = v.fields();
+      for (size_t i = 0; i < flds.size(); ++i) {
+        if (i > 0) out += ", ";
+        out += flds[i].first + ": " + ToString(flds[i].second);
+      }
+      return out + "}";
+    }
+    default:
+      return v.ToString();
+  }
+}
+
+const Value* FindField(const Value& v, std::string_view name) {
+  if (v.type() != Value::Type::kStruct) return nullptr;
+  for (const auto& [field_name, value] : v.fields()) {
+    if (field_name == name) return &value;
+  }
+  return nullptr;
+}
+
+}  // namespace legacy
 
 }  // namespace dyno

@@ -64,6 +64,21 @@ void SortRowsForComparison(std::vector<Value>* rows);
 /// Reads every row of a DFS file (fails the calling test on error).
 std::vector<Value> MustReadAll(const DfsFile& file);
 
+/// A reference copy of the codec as it was when every struct owned its
+/// field names (a vector of (name, value) pairs), before RowShape. Struct
+/// and array cases re-implement the old code over the public field view,
+/// names byte by byte; scalars defer to Value, whose scalar code did not
+/// change. Tests compare the shape-based Value against these.
+namespace legacy {
+std::string Encode(const Value& v);
+size_t EncodedSize(const Value& v);
+uint64_t Hash(const Value& v);
+int Compare(const Value& a, const Value& b);
+std::string ToString(const Value& v);
+/// First field named `name` by linear scan; nullptr when absent.
+const Value* FindField(const Value& v, std::string_view name);
+}  // namespace legacy
+
 }  // namespace dyno
 
 #endif  // DYNO_TESTS_TEST_UTIL_H_
